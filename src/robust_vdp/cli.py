@@ -25,8 +25,10 @@ from .errors import (
 )
 from .instance import (
     ParsedInstance,
+    _load_json,
     _parse_cone,
     _problem_dim,
+    _vec_at,
     parse_document,
 )
 from .rectangularity import (
@@ -40,11 +42,11 @@ from .render import (
     emit_tables,
     fmt_set,
     fmt_vec,
+    level_to_json,
     results_to_json,
 )
 from .suprema import NON_UNIQUE, NOT_EXISTS, vsup
 from .trees import AdaptedVector
-from .exactlp import frac
 
 EXIT_OK = 0
 EXIT_RELATION_FAILED = 1
@@ -84,6 +86,14 @@ def _load_problem(args):
     return problem, inst
 
 
+def _time_arg(args, problem) -> Optional[int]:
+    """The --time value, checked against the problem's horizon."""
+    t, horizon = args.time, problem.tree.horizon
+    if t is not None and not 0 <= t <= horizon:
+        raise InstanceError("--time", f"time {t} outside 0..{horizon}")
+    return t
+
+
 def _print(args, text: str, payload: Optional[dict] = None):
     if args.format == "json":
         print(json.dumps(payload if payload is not None else {"text": text},
@@ -94,21 +104,23 @@ def _print(args, text: str, payload: Optional[dict] = None):
 
 def cmd_solve(args) -> int:
     problem, inst = _load_problem(args)
-    prune = args.prune or inst.options.prune
-    results = compute_results(problem, prune=prune)
+    t = _time_arg(args, problem)
+    results = compute_results(problem, prune=args.prune or inst.options.prune)
+    if t is None:
+        if args.format == "json":
+            _print(args, "", results_to_json(problem, results))
+        else:
+            _print(args, emit_tables(problem, results))
+        return EXIT_OK
+    v_t = results.report.v[t]
     if args.format == "json":
-        _print(args, "", results_to_json(problem, results))
-        return EXIT_OK
-    if args.time is not None:
-        t = args.time
-        if not 0 <= t <= problem.tree.horizon:
-            raise InstanceError("--time", f"time {t} outside 0..{problem.tree.horizon}")
-        lines = []
-        for (node, state), vals in results.v[t].items():
-            lines.append(f"V{t}({node}|{state}) = {fmt_set(vals)}")
+        _print(args, "", {"value_sets": {str(t): level_to_json(v_t)}})
+    else:
+        lines = [
+            f"V{t}({node}|{state}) = {fmt_set(vals)}"
+            for (node, state), vals in v_t.items()
+        ]
         _print(args, "\n".join(lines) + "\n")
-        return EXIT_OK
-    _print(args, emit_tables(problem, results))
     return EXIT_OK
 
 
@@ -129,17 +141,21 @@ def cmd_rect(args) -> int:
     tree, family, cone = problem.tree, problem.family, problem.cone
     structural = is_m_rectangular(family)
     seed = args.seed if args.seed is not None else (inst.options.seed or 0)
+    dim = _problem_dim(problem)
     if args.test_vectors:
-        doc = json.loads(_read(args.test_vectors))
+        doc = _load_json(_read(args.test_vectors))
+        if not isinstance(doc, list) or not all(isinstance(e, dict) for e in doc):
+            raise InstanceError(
+                args.test_vectors, "expected a list of leaf-to-vector objects"
+            )
         vectors = [
             AdaptedVector(
                 tree.horizon,
-                {n: tuple(frac(x) for x in v) for n, v in entry.items()},
+                {n: _vec_at(v, f"/{i}/{n}", dim) for n, v in entry.items()},
             )
-            for entry in doc
+            for i, entry in enumerate(doc)
         ]
     else:
-        dim = _problem_dim(problem)
         vectors = random_terminal_vectors(tree, dim, args.random, seed)
     report = check_preorder_rectangularity(cone, tree, family, vectors, seed=seed)
     ok = structural and report.rectangular_on_sample and report.reverse_ok
@@ -162,13 +178,12 @@ def cmd_rect(args) -> int:
 
 
 def cmd_vsup(args) -> int:
-    cone_doc = json.loads(_read(args.cone))
-    points_doc = json.loads(_read(args.points))
+    cone_doc = _load_json(_read(args.cone))
+    points_doc = _load_json(_read(args.points))
     if not isinstance(points_doc, list) or not points_doc:
         raise InstanceError(args.points, "expected a nonempty list of vectors")
-    points = [tuple(frac(x) for x in row) for row in points_doc]
-    dim = len(points[0])
-    cone = _parse_cone(cone_doc, dim, "/")
+    points = [_vec_at(row, f"/{i}") for i, row in enumerate(points_doc)]
+    cone = _parse_cone(cone_doc, len(points[0]), "/")
     res = vsup(cone, points)
     if args.format == "json":
         payload = {"status": res.status}
@@ -192,7 +207,7 @@ def cmd_vsup(args) -> int:
 
 def cmd_pareto(args) -> int:
     problem, _ = _load_problem(args)
-    t = args.time if args.time is not None else 0
+    t = _time_arg(args, problem)
     gens = upper_image(problem, t)
     if args.format == "json":
         _print(args, "", {
@@ -219,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, instance=True):
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--time", type=int, default=None)
         p.add_argument("--prune", action="store_true")
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -227,6 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute and print all value sets")
     common(p)
+    p.add_argument("--time", type=int, default=None,
+                   help="print only the forward value sets at this time")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-bellman", help="verify the Bellman relations")
@@ -247,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pareto", help="Pareto generators of the upper image")
     common(p)
+    p.add_argument("--time", type=int, default=0)
     p.set_defaults(func=cmd_pareto)
 
     return parser
@@ -263,7 +280,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         DualNotLIError,
         RepresentationError,
         DimensionMismatchError,
-        json.JSONDecodeError,
         ValueError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)

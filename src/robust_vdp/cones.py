@@ -9,6 +9,7 @@ deliberately not implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .exactlp import (
@@ -147,10 +148,19 @@ class Cone:
         self._check_dim(yv)
         return self.contains(vsub(yv, xv))
 
+    @cached_property
+    def dual_rank(self) -> Optional[int]:
+        """Rank of the dual rows, or None without a dual representation."""
+        return mat_rank(self.duals) if self.duals is not None else None
+
     def is_pointed(self) -> bool:
         """True iff C cap (-C) = {0}."""
+        return self._pointed
+
+    @cached_property
+    def _pointed(self) -> bool:
         if self.duals is not None:
-            return mat_rank(self.duals) == self.dim
+            return self.dual_rank == self.dim
         # finitely generated cone: not pointed iff -g in C for a nonzero g
         for g in self.generators:
             if any(c != 0 for c in g) and self.contains(vneg(g)):

@@ -16,7 +16,7 @@ faithful representation of the corresponding sets of adapted vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -29,7 +29,7 @@ from .errors import (
 from .exactlp import ZERO, Vec, vec
 from .rectangularity import is_m_rectangular
 from .suprema import NOT_EXISTS, vsup
-from .trees import AdaptedVector, ModelFamily, ScenarioTree
+from .trees import AdaptedVector, ModelFamily, ScenarioTree, expect
 
 DEFAULT_BUDGET = 10**6
 
@@ -81,6 +81,11 @@ class ControlledProblem:
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
+    @cached_property
+    def reachable(self) -> dict[int, list[tuple[str, str]]]:
+        """``reachable_states`` of this problem, computed on first use."""
+        return reachable_states(self)
+
     # -- a uniform (state, control) view over both modes ---------------------
 
     @property
@@ -127,13 +132,6 @@ class Strategy:
     def describe(self) -> str:
         t, node, state = self.start
         return self.choice[(node, state)]
-
-
-@dataclass(frozen=True)
-class ValueSet:
-    time: int
-    elements: tuple[AdaptedVector, ...]
-    provenance: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +226,10 @@ def _expect_below(
     """Expectation of terminal values over the subtree below (t, node)."""
     if t == tree.horizon:
         return leaf_values[node]
-    probs = model.transition[node]
-    kids = tree.children[node]
-    d = len(next(iter(leaf_values.values())))
-    acc = [ZERO] * d
-    for p, c in zip(probs, kids):
-        sub = _expect_below(tree, model, c, t + 1, leaf_values)
-        for i in range(d):
-            acc[i] += p * sub[i]
-    return tuple(acc)
+    return expect(
+        model.transition[node],
+        [_expect_below(tree, model, c, t + 1, leaf_values) for c in tree.children[node]],
+    )
 
 
 def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
@@ -284,9 +277,8 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     """Forward value sets at time t, per reachable (node, state): one
     worst-case expected loss per strategy from that point."""
     tree = problem.tree
-    reach = reachable_states(problem)
     out: LevelSets = {}
-    for node, state in reach[t]:
+    for node, state in problem.reachable[t]:
         vals = []
         for strat in enumerate_strategies(problem, t, node, state):
             table = _terminal_table(problem, strat)
@@ -300,46 +292,6 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     return out
 
 
-def value_function(problem: ControlledProblem, t: int = 0) -> ValueSet:
-    """Forward value set at time t as adapted vectors, one per root
-    strategy (deduplicated)."""
-    tree = problem.tree
-    elements: list[AdaptedVector] = []
-    provenance: list[str] = []
-    if t == tree.horizon:
-        for strat in enumerate_strategies(problem):
-            av = terminal_loss(problem, strat)
-            if all(av.values != e.values for e in elements):
-                elements.append(av)
-                provenance.append(strat.describe())
-        return ValueSet(t, tuple(elements), tuple(provenance))
-    for strat in enumerate_strategies(problem):
-        table = _terminal_table(problem, strat)
-        # state threading: walk the strategy to find the state at each node
-        states: dict[str, str] = {tree.root: problem.initial_state}
-        for tt in range(t):
-            for node in tree.nodes_at(tt):
-                if node not in states:
-                    continue
-                a = strat.control(node, states[node])
-                for c in tree.children[node]:
-                    states[c] = problem.next_state(tt, states[node], a, c)
-        vals = {}
-        for node in tree.nodes_at(t):
-            exps = [
-                _expect_below(problem.tree, m, node, t, table)
-                for m in problem.family.models
-            ]
-            vals[node] = _sup_or_raise(
-                problem, exps, f"t={t}, node={node!r}, strategy"
-            )
-        av = AdaptedVector(t, vals)
-        if all(av.values != e.values for e in elements):
-            elements.append(av)
-            provenance.append(strat.describe())
-    return ValueSet(t, tuple(elements), tuple(provenance))
-
-
 def prune_pareto(points: Iterable[Vec], cone: Cone) -> tuple[Vec, ...]:
     """Drop every point dominated by another point of the set.  Needs a
     pointed cone; preserves the weak set inclusions but not raw equality."""
@@ -350,14 +302,12 @@ def _one_step_sets(
     problem: ControlledProblem,
     t: int,
     next_sets: Mapping[tuple[str, str], Sequence[Vec]],
-    pairs: Sequence[tuple[str, str]],
-    prune: bool = False,
 ) -> LevelSets:
     """Selector recursion: per (node, state), the suprema over models of
     one-step expectations of every per-child selection from next_sets."""
     tree = problem.tree
     out: LevelSets = {}
-    for node, state in pairs:
+    for node, state in problem.reachable[t]:
         kids = tree.children[node]
         vals: list[Vec] = []
         total = 0
@@ -375,38 +325,26 @@ def _one_step_sets(
                     f"budget of {problem.budget}"
                 )
             for combo in product(*child_sets):
-                exps = []
-                for m in problem.family.models:
-                    probs = m.transition[node]
-                    d = len(combo[0])
-                    acc = [ZERO] * d
-                    for p, x in zip(probs, combo):
-                        for i in range(d):
-                            acc[i] += p * x[i]
-                    exps.append(tuple(acc))
+                exps = [
+                    expect(m.transition[node], combo) for m in problem.family.models
+                ]
                 vals.append(
                     _sup_or_raise(problem, exps, f"t={t}, node={node!r}, selector")
                 )
-        sets = _dedup(vals)
-        if prune:
-            sets = prune_pareto(sets, problem.cone)
-        out[(node, state)] = sets
+        out[(node, state)] = _dedup(vals)
     return out
 
 
-def backward_value(
-    problem: ControlledProblem, prune: bool = False
-) -> dict[int, LevelSets]:
+def backward_value(problem: ControlledProblem) -> dict[int, LevelSets]:
     """Backward recursion from the horizon down to time 0."""
     tree = problem.tree
-    reach = reachable_states(problem)
     out: dict[int, LevelSets] = {}
     out[tree.horizon] = {
         (leaf, state): (problem.terminal_loss_at(leaf, state),)
-        for leaf, state in reach[tree.horizon]
+        for leaf, state in problem.reachable[tree.horizon]
     }
     for t in range(tree.horizon - 1, -1, -1):
-        out[t] = _one_step_sets(problem, t, out[t + 1], reach[t], prune=prune)
+        out[t] = _one_step_sets(problem, t, out[t + 1])
     return out
 
 
@@ -414,8 +352,7 @@ def one_step_R(
     problem: ControlledProblem, t: int, v_next: LevelSets
 ) -> LevelSets:
     """One-step recursion fed with the exact forward value sets at t+1."""
-    reach = reachable_states(problem)
-    return _one_step_sets(problem, t, v_next, reach[t])
+    return _one_step_sets(problem, t, v_next)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +401,11 @@ class BellmanReport:
     rows: tuple[BellmanRow, ...]
     m_rectangular: Optional[bool]  # None when not decidable (non-componentwise)
     pointed: bool
+    #: the compared set families: forward V (times 0..T), backward B
+    #: (times 0..T) and one-step R (times 0..T-1)
+    v: dict[int, LevelSets]
+    b: dict[int, LevelSets]
+    r: dict[int, LevelSets]
 
     @property
     def weak_ok(self) -> bool:
@@ -479,17 +421,16 @@ class BellmanReport:
 
 
 def check_bellman(problem: ControlledProblem) -> BellmanReport:
-    """Evaluate all Bellman inclusions and the set equality per time."""
+    """Build V, B and R once each, in that order, and evaluate all Bellman
+    inclusions and the set equality per time."""
     tree = problem.tree
     cone = problem.cone
-    b_all = backward_value(problem)
     v_all = {t: value_sets(problem, t) for t in range(tree.horizon + 1)}
+    b_all = backward_value(problem)
+    r_all = {t: one_step_R(problem, t, v_all[t + 1]) for t in range(tree.horizon)}
     rows = []
     for t in range(tree.horizon):
-        r_lvl = one_step_R(problem, t, v_all[t + 1])
-        v_lvl = v_all[t]
-        b_lvl = b_all[t]
-        keys = list(v_lvl)
+        v_lvl, b_lvl, r_lvl = v_all[t], b_all[t], r_all[t]
         flags = dict(
             b_in_v_plus=True, v_in_b_minus=True, r_in_v_plus=True,
             v_in_r_minus=True, v_in_b_plus=True, b_in_v_minus=True,
@@ -502,7 +443,7 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
                 flags[name] = False
                 witnesses.append(f"{name} fails at t={t}, (node, state)={key}")
 
-        for key in keys:
+        for key in v_lvl:
             v, b, r = v_lvl[key], b_lvl[key], r_lvl[key]
             record("b_in_v_plus", cone.set_precurly(v, b), key)
             record("v_in_b_minus", cone.set_curlyprec(v, b), key)
@@ -522,7 +463,8 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
         else None
     )
     return BellmanReport(
-        rows=tuple(rows), m_rectangular=rect, pointed=cone.is_pointed()
+        rows=tuple(rows), m_rectangular=rect, pointed=cone.is_pointed(),
+        v=v_all, b=b_all, r=r_all,
     )
 
 
@@ -541,10 +483,9 @@ def upper_image(problem: ControlledProblem, t: int) -> LevelSets:
     """Pareto generators of the time-t upper image, per (node, state)."""
     _require_componentwise(problem)
     if t == problem.tree.horizon:
-        reach = reachable_states(problem)
         return {
             (leaf, state): (problem.terminal_loss_at(leaf, state),)
-            for leaf, state in reach[t]
+            for leaf, state in problem.reachable[t]
         }
     v_lvl = value_sets(problem, t)
     return {
@@ -593,7 +534,6 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
     marginal rectangularity the generators coincide."""
     _require_componentwise(problem)
     tree = problem.tree
-    reach = reachable_states(problem)
     rect = is_m_rectangular(problem.family)
     gens = {t: upper_image(problem, t) for t in range(tree.horizon + 1)}
     rows = []
@@ -609,13 +549,13 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
             )
             for key, vals in gens[t + 1].items()
         }
-        rec_perturbed = _one_step_sets(problem, t, perturbed, reach[t])
-        rec_pure = _one_step_sets(problem, t, gens[t + 1], reach[t])
+        rec_perturbed = _one_step_sets(problem, t, perturbed)
+        rec_pure = _one_step_sets(problem, t, gens[t + 1])
         ok = True
         eq: Optional[bool] = True if rect else None
         witnesses = []
         n_checked = 0
-        for key in reach[t]:
+        for key in problem.reachable[t]:
             target = gens[t][key]
             for x in rec_perturbed[key]:
                 n_checked += 1

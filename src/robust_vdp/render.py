@@ -17,10 +17,8 @@ from .engine import (
     BellmanReport,
     ControlledProblem,
     LevelSets,
-    backward_value,
     check_bellman,
-    one_step_R,
-    value_sets,
+    prune_pareto,
 )
 from .exactlp import Vec
 from .trees import cond_expect, AdaptedVector
@@ -66,18 +64,21 @@ def _with_decimal(line: str, vals: Sequence[Vec]) -> str:
 
 @dataclass(frozen=True)
 class SolveResults:
-    v: dict[int, LevelSets]
-    b: dict[int, LevelSets]
-    r: dict[int, LevelSets]
     report: BellmanReport
+    #: the backward sets as printed: ``report.b``, or with every set
+    #: Pareto-pruned under ``prune``; verdicts always use ``report.b``
+    b: dict[int, LevelSets]
 
 
 def compute_results(problem: ControlledProblem, prune: bool = False) -> SolveResults:
-    tree = problem.tree
-    v = {t: value_sets(problem, t) for t in range(tree.horizon + 1)}
-    b = backward_value(problem, prune=prune)
-    r = {t: one_step_R(problem, t, v[t + 1]) for t in range(tree.horizon)}
-    return SolveResults(v=v, b=b, r=r, report=check_bellman(problem))
+    report = check_bellman(problem)
+    b = report.b
+    if prune:
+        b = {
+            t: {key: prune_pareto(vals, problem.cone) for key, vals in lvl.items()}
+            for t, lvl in b.items()
+        }
+    return SolveResults(report=report, b=b)
 
 
 def _expectation_tables(problem: ControlledProblem) -> list[str]:
@@ -117,8 +118,9 @@ def emit_tables(problem: ControlledProblem, results: SolveResults) -> str:
     if problem.mode == TABULATED:
         lines.extend(_expectation_tables(problem))
 
+    report = results.report
     root_key = (tree.root, problem.initial_state)
-    v0 = results.v[0][root_key]
+    v0 = report.v[0][root_key]
     b0 = results.b[0][root_key]
     lines.append(_with_decimal(f"V0(Theta) = {fmt_set(v0)}", v0))
     lines.append(_with_decimal(f"B0(Theta) = {fmt_set(b0)}", b0))
@@ -126,12 +128,12 @@ def emit_tables(problem: ControlledProblem, results: SolveResults) -> str:
 
     for t in range(1, tree.horizon):
         lines.append(f"time {t}:")
-        lines.extend(_level_lines("V", t, results.v[t]))
+        lines.extend(_level_lines("V", t, report.v[t]))
         lines.extend(_level_lines("B", t, results.b[t]))
-        lines.extend(_level_lines("R", t, results.r[t]))
+        lines.extend(_level_lines("R", t, report.r[t]))
         lines.append("")
 
-    lines.extend(emit_bellman(results.report).splitlines())
+    lines.extend(emit_bellman(report).splitlines())
     return "\n".join(lines) + "\n"
 
 
@@ -160,22 +162,23 @@ def emit_bellman(report: BellmanReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def results_to_json(problem: ControlledProblem, results: SolveResults) -> dict:
-    def lvl(d: LevelSets):
-        return [
-            {
-                "node": node,
-                "state": state,
-                "set": [[fmt_frac(x) for x in v] for v in vals],
-            }
-            for (node, state), vals in d.items()
-        ]
+def level_to_json(lvl: LevelSets) -> list[dict]:
+    return [
+        {
+            "node": node,
+            "state": state,
+            "set": [[fmt_frac(x) for x in v] for v in vals],
+        }
+        for (node, state), vals in lvl.items()
+    ]
 
+
+def results_to_json(problem: ControlledProblem, results: SolveResults) -> dict:
     report = results.report
     return {
-        "value_sets": {str(t): lvl(d) for t, d in results.v.items()},
-        "backward_sets": {str(t): lvl(d) for t, d in results.b.items()},
-        "one_step_sets": {str(t): lvl(d) for t, d in results.r.items()},
+        "value_sets": {str(t): level_to_json(d) for t, d in report.v.items()},
+        "backward_sets": {str(t): level_to_json(d) for t, d in results.b.items()},
+        "one_step_sets": {str(t): level_to_json(d) for t, d in report.r.items()},
         "bellman": {
             "weak": report.weak_ok,
             "strong": report.strong_ok,

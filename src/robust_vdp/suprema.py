@@ -18,7 +18,6 @@ from .exactlp import (
     Vec,
     dot,
     lp,
-    mat_rank,
     nullspace_basis,
     polyhedron_vertices,
     rref,
@@ -99,7 +98,7 @@ def vsup_dual_li(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     b_rows = cone.duals
     k = len(b_rows)
     d = cone.dim
-    if mat_rank(b_rows) != k:
+    if cone.dual_rank != k:
         raise DualNotLIError("dual generators are linearly dependent")
     alpha = [max(dot(b, p) for p in pts) for b in b_rows]
     v = _pivot_solution(b_rows, alpha)
@@ -173,7 +172,7 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
         return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
 
     v = _pivot_solution(b_rows, beta)
-    if mat_rank(b_rows) == d:
+    if cone.dual_rank == d:
         return SupResult(UNIQUE, value=v)
     null = nullspace_basis(b_rows, d)
     return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
@@ -184,6 +183,6 @@ def vsup(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     pts = _require_points(xs)
     if cone.kind == COMPONENTWISE:
         return SupResult(UNIQUE, value=vsup_componentwise(pts))
-    if cone.duals is not None and mat_rank(cone.duals) == len(cone.duals):
+    if cone.duals is not None and cone.dual_rank == len(cone.duals):
         return vsup_dual_li(cone, pts)
     return vsup_general(cone, pts)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone, DimensionMismatchError
-from .exactlp import ZERO, Vec, vec
+from .exactlp import Vec, vec
 from .suprema import NON_UNIQUE, NOT_EXISTS, UNIQUE, SupResult, vsup
 
 
@@ -164,6 +164,17 @@ class AdaptedVector:
             raise DimensionMismatchError("mixed dimensions in adapted vector")
 
 
+def expect(probs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
+    """One-step expectation: the probability-weighted sum of the child
+    vectors, coordinate by coordinate.  Exact."""
+    terms = zip(probs, points)
+    p, x = next(terms)
+    acc = [p * xi for xi in x]
+    for p, x in terms:
+        acc = [a + p * xi for a, xi in zip(acc, x)]
+    return tuple(acc)
+
+
 def cond_expect(
     tree: ScenarioTree, model: Model, x: AdaptedVector, t: int
 ) -> AdaptedVector:
@@ -173,19 +184,12 @@ def cond_expect(
     if not 0 <= t <= s <= tree.horizon:
         raise ValueError(f"need 0 <= t <= {s} <= horizon, got t={t}")
     x.check_level(tree)
-    d = x.dim
     vals = dict(x.values)
     for level in range(s - 1, t - 1, -1):
-        nxt = {}
-        for n in tree.nodes_at(level):
-            probs = model.transition[n]
-            acc = [ZERO] * d
-            for p, c in zip(probs, tree.children[n]):
-                child_val = vals[c]
-                for i in range(d):
-                    acc[i] += p * child_val[i]
-            nxt[n] = tuple(acc)
-        vals = nxt
+        vals = {
+            n: expect(model.transition[n], [vals[c] for c in tree.children[n]])
+            for n in tree.nodes_at(level)
+        }
     return AdaptedVector(t, vals)
 
 

@@ -17,6 +17,8 @@ from robust_vdp import (
     Model,
     ModelFamily,
     ScenarioTree,
+    one_step_R,
+    prune_pareto,
 )
 from robust_vdp.exactlp import dot, lp
 
@@ -68,6 +70,24 @@ def scalar_backward_induction(problem: ControlledProblem) -> Fraction:
         return best
 
     return w(0, tree.root, problem.initial_state)
+
+
+def stepwise_pruned_backward(problem: ControlledProblem) -> dict:
+    """Backward recursion that Pareto-prunes each level before stepping
+    back to the previous one."""
+    horizon = problem.tree.horizon
+    level = {
+        (leaf, state): (problem.terminal_loss_at(leaf, state),)
+        for leaf, state in problem.reachable[horizon]
+    }
+    out = {horizon: level}
+    for t in range(horizon - 1, -1, -1):
+        level = {
+            key: prune_pareto(vals, problem.cone)
+            for key, vals in one_step_R(problem, t, level).items()
+        }
+        out[t] = level
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from robust_vdp.cli import main
 from robust_vdp.data import path
 
@@ -125,3 +127,53 @@ def test_prune_flag(capsys):
     code, out, _ = run(capsys, "solve", "--instance", INSTANCE, "--prune")
     assert code == 0
     assert "B0(Theta) = {(5,4), (9/2,5)}" in out  # frontier is already minimal
+
+
+def test_time_only_on_solve_and_pareto(capsys):
+    for argv in (
+        ["check-bellman", "--instance", INSTANCE],
+        ["rect", "--instance", INSTANCE],
+        ["vsup", "--cone", HALFSPACE, "--points", HS_POINTS],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--time", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --time" in capsys.readouterr().err
+
+
+def test_time_outside_horizon(capsys):
+    for argv in (
+        ["pareto", "--instance", INSTANCE],
+        ["solve", "--instance", INSTANCE],
+        ["solve", "--instance", INSTANCE, "--format", "json"],
+    ):
+        code, out, err = run(capsys, *argv, "--time", "9")
+        assert code == 2
+        assert out == ""
+        assert "time 9 outside 0..2" in err
+
+
+def test_solve_json_time_slice(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--instance", INSTANCE, "--format", "json", "--time", "1"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["value_sets"] and list(doc["value_sets"]) == ["1"]
+    assert {"node": "u", "state": "phi", "set": [["6", "4"]]} in doc["value_sets"]["1"]
+
+
+def test_vsup_points_with_float_literal(tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text("[[1.5, 2], [0, 1]]")
+    code, _, err = run(capsys, "vsup", "--cone", HALFSPACE, "--points", str(points))
+    assert code == 2
+    assert "floating-point literal" in err and "Traceback" not in err
+
+
+def test_rect_test_vectors_with_float_literal(tmp_path, capsys):
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text('[{"uu": [1.5, 0], "ud": [0, 0], "du": [0, 0], "dd": [0, 0]}]')
+    code, _, err = run(capsys, "rect", "--instance", INSTANCE, "--test-vectors", str(vectors))
+    assert code == 2
+    assert "floating-point literal" in err and "Traceback" not in err

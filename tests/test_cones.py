@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from robust_vdp import Cone, UnsupportedConeError, minimal_elements
+from robust_vdp import Cone, UnsupportedConeError, minimal_elements, vsup
+from robust_vdp import cones
 from robust_vdp.cones import DimensionMismatchError, RepresentationError
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
@@ -134,3 +135,21 @@ def test_minimal_elements():
 def test_minimal_elements_needs_pointed_cone():
     with pytest.raises(UnsupportedConeError):
         minimal_elements([(0, 0)], Cone.halfspace((1, 1)))
+
+
+def test_dual_rank_computed_once_per_cone(roof, monkeypatch):
+    ranks = []
+
+    def counted(rows):
+        ranks.append(rows)
+        return real(rows)
+
+    real = cones.mat_rank
+    monkeypatch.setattr(cones, "mat_rank", counted)
+    three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    for cone in (three_duals, roof):  # dual-LI and general vsup routes
+        for k in range(3):
+            vsup(cone, [(k, 0, 1), (0, k, 2)])
+            minimal_elements([(k, 0, 0), (0, 0, 0)], cone)
+            assert cone.is_pointed()
+    assert ranks == [three_duals.duals, roof.duals]

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from robust_vdp import (
     backward_value,
     check_bellman,
     check_upper_image_recursion,
+    compute_results,
     enumerate_strategies,
     is_m_rectangular,
     one_step_R,
@@ -24,13 +27,13 @@ from robust_vdp import (
     prune_pareto,
     terminal_loss,
     upper_image,
-    value_function,
     value_sets,
 )
+from robust_vdp import engine
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
-from .oracles import random_dynamics_problem
+from .oracles import random_dynamics_problem, stepwise_pruned_backward
 
 F = Fraction
 
@@ -163,15 +166,6 @@ def test_one_step_recursion(binomial):
     assert set(r0[("n0", "*")]) == {(F(5), F(4)), (F(9, 2), F(5))}
 
 
-def test_value_function_adapted(binomial):
-    vf = value_function(binomial, 1)
-    by_name = dict(zip(vf.provenance, vf.elements))
-    assert by_name["phi"].at("u") == (F(6), F(4))
-    assert by_name["phi"].at("d") == (F(4), F(4))
-    assert by_name["psi"].at("u") == (F(0), F(6))
-    assert by_name["psi"].at("d") == (F(6), F(4))
-
-
 def test_check_bellman_rectangular(binomial):
     report = check_bellman(binomial)
     assert report.m_rectangular is True
@@ -239,12 +233,69 @@ def test_prune_pareto():
 
 def test_prune_preserves_weak_relations(binomial):
     cone = binomial.cone
-    full = backward_value(binomial)
-    pruned = backward_value(binomial, prune=True)
+    results = compute_results(binomial, prune=True)
+    full, pruned = results.report.b, results.b
     for t in full:
         for key in full[t]:
             assert cone.set_precurly(pruned[t][key], full[t][key])
             assert cone.set_curlyprec(pruned[t][key], full[t][key])
+
+
+def _as_sets(levels):
+    return {t: {key: set(vals) for key, vals in lvl.items()} for t, lvl in levels.items()}
+
+
+def test_per_level_pruning_equals_stepwise_pruned_recursion():
+    # expectation and supremum are monotone in a pointed cone order, so
+    # pruning once per level keeps exactly the frontier that pruning inside
+    # the recursion keeps
+    rng = random.Random(107)
+    problems = [random_dynamics_problem(rng, rectangular=bool(i % 2)) for i in range(12)]
+    three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    problems += [
+        dataclasses.replace(random_dynamics_problem(rng, dim=3, n_states=3), cone=three_duals)
+        for _ in range(8)
+    ]
+    dropped = Counter()
+    for problem in problems:
+        results = compute_results(problem, prune=True)
+        assert _as_sets(results.b) == _as_sets(stepwise_pruned_backward(problem))
+        dropped[problem.cone.kind] += sum(
+            len(full) - len(results.b[t][key])
+            for t, lvl in results.report.b.items()
+            for key, full in lvl.items()
+        )
+    assert dropped["componentwise"] > 0 and dropped["dual"] > 0
+
+
+@pytest.mark.parametrize("rectangular", [True, False])
+def test_report_sets_match_per_level_functions(rectangular):
+    rng = random.Random(109)
+    for _ in range(8):
+        problem = random_dynamics_problem(rng, rectangular=rectangular)
+        horizon = problem.tree.horizon
+        v = {t: value_sets(problem, t) for t in range(horizon + 1)}
+        report = check_bellman(problem)
+        assert report.v == v
+        assert report.b == backward_value(problem)
+        assert report.r == {t: one_step_R(problem, t, v[t + 1]) for t in range(horizon)}
+
+
+def test_compute_results_builds_each_family_once(binomial, monkeypatch):
+    calls = Counter()
+    for name in ("reachable_states", "value_sets", "backward_value", "one_step_R"):
+        def counted(*args, _fn=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, counted)
+    compute_results(binomial, prune=True)
+    horizon = binomial.tree.horizon
+    assert calls == {
+        "reachable_states": 1,
+        "value_sets": horizon + 1,
+        "backward_value": 1,
+        "one_step_R": horizon,
+    }
 
 
 def test_upper_image(binomial):
