@@ -65,18 +65,21 @@ def _read(path: str) -> str:
 
 
 def _effective_budget(args, inst: ParsedInstance) -> int:
-    if args.budget is not None:
-        return args.budget
+    """The first of --budget, $ROBUST_VDP_BUDGET and the document's budget
+    that is set; it must be a positive integer."""
     env = os.environ.get(BUDGET_ENV)
-    if env is not None:
-        try:
-            budget = int(env)
-        except ValueError:
-            raise InstanceError(BUDGET_ENV, f"not an integer: {env!r}")
-        if budget < 1:
-            raise InstanceError(BUDGET_ENV, "budget must be positive")
-        return budget
-    return inst.options.budget
+    if args.budget is not None:
+        source, raw = "--budget", args.budget
+    elif env is not None:
+        source, raw = BUDGET_ENV, env
+    else:
+        source, raw = "/options/budget", inst.options.budget
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise InstanceError(source, "expected a positive integer")
 
 
 def _load_problem(args):
@@ -138,6 +141,8 @@ def cmd_check_bellman(args) -> int:
 
 def cmd_rect(args) -> int:
     problem, inst = _load_problem(args)
+    if args.random < 0:
+        raise InstanceError("--random", f"count {args.random} is negative")
     tree, family, cone = problem.tree, problem.family, problem.cone
     structural = is_m_rectangular(family)
     seed = args.seed if args.seed is not None else (inst.options.seed or 0)
@@ -231,40 +236,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
+    def command(name, func, help, instance=True, budget=True):
+        p = sub.add_parser(name, help=help)
+        # rect reads an instance, and so a budget, but offers no --budget
+        p.set_defaults(func=func, budget=None)
         if instance:
             p.add_argument("--instance", required=True, help="instance JSON file")
-        p.add_argument("--prune", action="store_true")
-        p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="strategy and selector budget")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
 
-    p = sub.add_parser("solve", help="compute and print all value sets")
-    common(p)
+    p = command("solve", cmd_solve, "compute and print all value sets")
+    p.add_argument("--prune", action="store_true",
+                   help="print the backward sets Pareto-pruned")
     p.add_argument("--time", type=int, default=None,
                    help="print only the forward value sets at this time")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check-bellman", help="verify the Bellman relations")
-    common(p)
-    p.set_defaults(func=cmd_check_bellman)
+    command("check-bellman", cmd_check_bellman, "verify the Bellman relations")
 
-    p = sub.add_parser("rect", help="check rectangularity of the model family")
-    common(p)
+    p = command("rect", cmd_rect, "check rectangularity of the model family",
+                budget=False)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--test-vectors", default=None, help="JSON file of terminal vectors")
     p.add_argument("--random", type=int, default=20, metavar="N")
-    p.set_defaults(func=cmd_rect)
 
-    p = sub.add_parser("vsup", help="supremum of a finite vector collection")
-    common(p, instance=False)
+    p = command("vsup", cmd_vsup, "supremum of a finite vector collection",
+                instance=False, budget=False)
     p.add_argument("--cone", required=True, help="cone JSON file")
     p.add_argument("--points", required=True, help="JSON file: list of vectors")
-    p.set_defaults(func=cmd_vsup)
 
-    p = sub.add_parser("pareto", help="Pareto generators of the upper image")
-    common(p)
+    p = command("pareto", cmd_pareto, "Pareto generators of the upper image")
     p.add_argument("--time", type=int, default=0)
-    p.set_defaults(func=cmd_pareto)
 
     return parser
 

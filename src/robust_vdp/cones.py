@@ -202,10 +202,7 @@ def minimal_elements(points: Iterable[Iterable], cone: Cone) -> list[Vec]:
 
     if not cone.is_pointed():
         raise UnsupportedConeError("minimal elements need a pointed cone")
-    pts = []
-    for p in (vec(x) for x in points):
-        if p not in pts:
-            pts.append(p)
+    pts = list(dict.fromkeys(vec(x) for x in points))
     return [
         p
         for p in pts

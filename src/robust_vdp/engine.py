@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from math import prod
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cones import COMPONENTWISE, Cone, minimal_elements
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 from .exactlp import ZERO, Vec, vec
 from .rectangularity import is_m_rectangular
 from .suprema import NOT_EXISTS, vsup
-from .trees import AdaptedVector, ModelFamily, ScenarioTree, expect
+from .trees import ModelFamily, ScenarioTree, expect
 
 DEFAULT_BUDGET = 10**6
 
@@ -41,6 +42,10 @@ TAB_ROOT_STATE = "*"
 
 #: value sets of one time level: (node, state) -> vectors
 LevelSets = dict[tuple[str, str], tuple[Vec, ...]]
+
+#: one forward level: (node, state) -> (number of strategies from there, their
+#: distinct profiles: expected terminal loss per model, by first strategy)
+ProfileLevel = dict[tuple[str, str], tuple[int, tuple[tuple[Vec, ...], ...]]]
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,11 @@ class ControlledProblem:
         """``reachable_states`` of this problem, computed on first use."""
         return reachable_states(self)
 
+    @cached_property
+    def profile_levels(self) -> dict[int, ProfileLevel]:
+        """Forward levels by time, filled from the horizon down by ``value_sets``."""
+        return {}
+
     # -- a uniform (state, control) view over both modes ---------------------
 
     @property
@@ -125,9 +135,6 @@ class ControlledProblem:
 class Strategy:
     start: tuple[int, str, str]  # (time, node, state)
     choice: Mapping[tuple[str, str], str]  # (node, state) -> control
-
-    def control(self, node: str, state: str) -> str:
-        return self.choice[(node, state)]
 
     def describe(self) -> str:
         t, node, state = self.start
@@ -191,47 +198,6 @@ def enumerate_strategies(
     return [Strategy(start=(t, node, state), choice=d) for d in recurse(t, node, state)]
 
 
-def _terminal_table(
-    problem: ControlledProblem, strategy: Strategy
-) -> dict[str, Vec]:
-    """Leaf -> loss vector reached under the strategy, from its start."""
-    t0, node0, state0 = strategy.start
-
-    def recurse(tt, nn, ss, acc):
-        if tt == problem.tree.horizon:
-            acc[nn] = problem.terminal_loss_at(nn, ss)
-            return
-        a = strategy.control(nn, ss)
-        for c in problem.tree.children[nn]:
-            recurse(tt + 1, c, problem.next_state(tt, ss, a, c), acc)
-
-    acc: dict[str, Vec] = {}
-    recurse(t0, node0, state0, acc)
-    return acc
-
-
-def terminal_loss(problem: ControlledProblem, strategy: Strategy) -> AdaptedVector:
-    """Terminal loss of a root strategy as an adapted vector at the horizon."""
-    table = _terminal_table(problem, strategy)
-    return AdaptedVector(problem.tree.horizon, table)
-
-
-# ---------------------------------------------------------------------------
-# expectations
-
-
-def _expect_below(
-    tree: ScenarioTree, model, node: str, t: int, leaf_values: Mapping[str, Vec]
-) -> Vec:
-    """Expectation of terminal values over the subtree below (t, node)."""
-    if t == tree.horizon:
-        return leaf_values[node]
-    return expect(
-        model.transition[node],
-        [_expect_below(tree, model, c, t + 1, leaf_values) for c in tree.children[node]],
-    )
-
-
 def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
     res = vsup(problem.cone, points)
     if res.status == NOT_EXISTS:
@@ -250,14 +216,12 @@ def reachable_states(problem: ControlledProblem) -> dict[int, list[tuple[str, st
         0: [(tree.root, problem.initial_state)]
     }
     for t in range(tree.horizon):
-        nxt: list[tuple[str, str]] = []
-        for node, state in out[t]:
-            for a in problem.controls_at(t, state):
-                for c in tree.children[node]:
-                    pair = (c, problem.next_state(t, state, a, c))
-                    if pair not in nxt:
-                        nxt.append(pair)
-        out[t + 1] = nxt
+        out[t + 1] = list(dict.fromkeys(
+            (c, problem.next_state(t, state, a, c))
+            for node, state in out[t]
+            for a in problem.controls_at(t, state)
+            for c in tree.children[node]
+        ))
     return out
 
 
@@ -265,31 +229,74 @@ def reachable_states(problem: ControlledProblem) -> dict[int, list[tuple[str, st
 # the three value functions
 
 
-def _dedup(vals: Iterable[Vec]) -> tuple[Vec, ...]:
-    out: list[Vec] = []
-    for v in vals:
-        if v not in out:
-            out.append(v)
-    return tuple(out)
+def _selections(
+    problem: ControlledProblem, t: int, node: str, state: str, next_sets: Mapping
+) -> Iterator[tuple]:
+    """Every per-child selection from next_sets at (t, node, state), control by
+    control, each control's selections counted against the budget first."""
+    total = 0
+    for a in problem.controls_at(t, state):
+        child_sets = [
+            next_sets[(c, problem.next_state(t, state, a, c))]
+            for c in problem.tree.children[node]
+        ]
+        total += prod(len(s) for s in child_sets)
+        if total > problem.budget:
+            raise DeskScaleExceededError(
+                f"selector product at t={t}, node={node!r} exceeds the "
+                f"budget of {problem.budget}"
+            )
+        yield from product(*child_sets)
+
+
+def _profile_level(
+    problem: ControlledProblem, t: int, below: Optional[ProfileLevel]
+) -> ProfileLevel:
+    """The forward level at time t, from the level below (None at the
+    horizon); each strategy count is checked against the budget before its
+    profiles are built."""
+    models = problem.family.models
+    if below is None:
+        return {
+            key: (1, ((problem.terminal_loss_at(*key),) * len(models),))
+            for key in problem.reachable[t]
+        }
+    below_profiles = {key: profs for key, (_, profs) in below.items()}
+    out: ProfileLevel = {}
+    for node, state in problem.reachable[t]:
+        count = sum(
+            prod(
+                below[(c, problem.next_state(t, state, a, c))][0]
+                for c in problem.tree.children[node]
+            )
+            for a in problem.controls_at(t, state)
+        )
+        if count > problem.budget:
+            raise DeskScaleExceededError(
+                f"strategy enumeration exceeds the budget of {problem.budget}"
+            )
+        rows = [m.transition[node] for m in models]
+        out[(node, state)] = (count, tuple(dict.fromkeys(
+            tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
+            for combo in _selections(problem, t, node, state, below_profiles)
+        )))
+    return out
 
 
 def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     """Forward value sets at time t, per reachable (node, state): one
-    worst-case expected loss per strategy from that point."""
-    tree = problem.tree
-    out: LevelSets = {}
-    for node, state in problem.reachable[t]:
-        vals = []
-        for strat in enumerate_strategies(problem, t, node, state):
-            table = _terminal_table(problem, strat)
-            exps = [
-                _expect_below(tree, m, node, t, table) for m in problem.family.models
-            ]
-            vals.append(
-                _sup_or_raise(problem, exps, f"t={t}, node={node!r}, strategy")
-            )
-        out[(node, state)] = _dedup(vals)
-    return out
+    worst-case expected loss per strategy from that point, taken as the
+    supremum of each distinct profile."""
+    levels = problem.profile_levels
+    for s in range(min(levels, default=problem.tree.horizon + 1) - 1, t - 1, -1):
+        levels[s] = _profile_level(problem, s, levels.get(s + 1))
+    return {
+        (node, state): tuple(dict.fromkeys(
+            _sup_or_raise(problem, p, f"t={t}, node={node!r}, strategy")
+            for p in profs
+        ))
+        for (node, state), (_, profs) in levels[t].items()
+    }
 
 
 def prune_pareto(points: Iterable[Vec], cone: Cone) -> tuple[Vec, ...]:
@@ -305,33 +312,14 @@ def _one_step_sets(
 ) -> LevelSets:
     """Selector recursion: per (node, state), the suprema over models of
     one-step expectations of every per-child selection from next_sets."""
-    tree = problem.tree
     out: LevelSets = {}
     for node, state in problem.reachable[t]:
-        kids = tree.children[node]
-        vals: list[Vec] = []
-        total = 0
-        for a in problem.controls_at(t, state):
-            child_sets = []
-            size = 1
-            for c in kids:
-                s = next_sets[(c, problem.next_state(t, state, a, c))]
-                child_sets.append(s)
-                size *= len(s)
-            total += size
-            if total > problem.budget:
-                raise DeskScaleExceededError(
-                    f"selector product at t={t}, node={node!r} exceeds the "
-                    f"budget of {problem.budget}"
-                )
-            for combo in product(*child_sets):
-                exps = [
-                    expect(m.transition[node], combo) for m in problem.family.models
-                ]
-                vals.append(
-                    _sup_or_raise(problem, exps, f"t={t}, node={node!r}, selector")
-                )
-        out[(node, state)] = _dedup(vals)
+        rows = [m.transition[node] for m in problem.family.models]
+        context = f"t={t}, node={node!r}, selector"
+        out[(node, state)] = tuple(dict.fromkeys(
+            _sup_or_raise(problem, [expect(row, combo) for row in rows], context)
+            for combo in _selections(problem, t, node, state, next_sets)
+        ))
     return out
 
 
@@ -482,11 +470,6 @@ def _require_componentwise(problem: ControlledProblem):
 def upper_image(problem: ControlledProblem, t: int) -> LevelSets:
     """Pareto generators of the time-t upper image, per (node, state)."""
     _require_componentwise(problem)
-    if t == problem.tree.horizon:
-        return {
-            (leaf, state): (problem.terminal_loss_at(leaf, state),)
-            for leaf, state in problem.reachable[t]
-        }
     v_lvl = value_sets(problem, t)
     return {
         key: tuple(minimal_elements(vals, problem.cone))
@@ -540,13 +523,11 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
     for t in range(tree.horizon):
         dim = len(next(iter(gens[t + 1].values()))[0])
         perturbed: LevelSets = {
-            key: _dedup(
-                tuple(
-                    tuple(x + p for x, p in zip(g, pert))
-                    for g in vals
-                    for pert in _cone_perturbations(dim)
-                )
-            )
+            key: tuple(dict.fromkeys(
+                tuple(x + p for x, p in zip(g, pert))
+                for g in vals
+                for pert in _cone_perturbations(dim)
+            ))
             for key, vals in gens[t + 1].items()
         }
         rec_perturbed = _one_step_sets(problem, t, perturbed)

@@ -73,10 +73,23 @@ def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
     return v
 
 
-def _require(doc: Mapping, key: str, path: str):
+def _require(doc: Mapping, key: str, path: str, kind: Optional[type] = None):
+    """doc[key], which must be present and, when kind is given, of that type
+    (a boolean is no int)."""
+    if not isinstance(doc, dict):
+        raise InstanceError(path, "expected an object")
     if key not in doc:
         raise InstanceError(path, f"missing required field {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise InstanceError(f"{path}/{key}", f"expected {kind.__name__}")
+    return value
+
+
+def _names_at(value, path: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InstanceError(path, "expected a list of names")
+    return tuple(value)
 
 
 def _parse_cone(doc, dim: int, path: str) -> Cone:
@@ -122,13 +135,17 @@ def _parse_tree(doc, path: str) -> ScenarioTree:
     horizon = _require(doc, "horizon", path)
     levels = _require(doc, "levels", path)
     children = _require(doc, "children", path)
-    if not isinstance(levels, list) or not all(isinstance(l, list) for l in levels):
+    if not isinstance(levels, list):
         raise InstanceError(f"{path}/levels", "expected a list of node-id lists")
+    levels = [_names_at(l, f"{path}/levels/{t}") for t, l in enumerate(levels)]
     if not isinstance(children, dict):
         raise InstanceError(f"{path}/children", "expected an object")
+    children = {n: _names_at(k, f"{path}/children/{n}") for n, k in children.items()}
     labels = doc.get("labels", {})
-    if not isinstance(labels, dict):
-        raise InstanceError(f"{path}/labels", "expected an object")
+    if not isinstance(labels, dict) or not all(
+        isinstance(x, str) for x in labels.values()
+    ):
+        raise InstanceError(f"{path}/labels", "expected an object of names")
     known = {n for level in levels for n in level}
     for n, kids in children.items():
         if n not in known:
@@ -140,10 +157,7 @@ def _parse_tree(doc, path: str) -> ScenarioTree:
                 )
     try:
         return ScenarioTree(
-            horizon=horizon,
-            levels=tuple(tuple(l) for l in levels),
-            children={n: tuple(kids) for n, kids in children.items()},
-            labels=dict(labels),
+            horizon=horizon, levels=tuple(levels), children=children, labels=labels
         )
     except (ValueError, TypeError) as e:
         raise InstanceError(path, str(e)) from e
@@ -203,7 +217,7 @@ def _parse_models(doc, tree: ScenarioTree, path: str) -> ModelFamily:
         mpath = f"{path}/explicit/{i}"
         if not isinstance(m, dict):
             raise InstanceError(mpath, "expected a model object")
-        mid = _require(m, "id", mpath)
+        mid = _require(m, "id", mpath, str)
         transition = _parse_transition_row(
             _require(m, "transition", mpath), tree, f"{mpath}/transition"
         )
@@ -240,17 +254,18 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
                 strategies=strategies, budget=budget,
             )
         if mode == DYNAMICS:
-            initial = _require(doc, "initial_state", path)
+            initial = _require(doc, "initial_state", path, str)
             adm_doc = _require(doc, "admissible", path)
             if not isinstance(adm_doc, list) or not adm_doc:
                 raise InstanceError(f"{path}/admissible", "expected a nonempty list")
             admissible = {}
             for i, row in enumerate(adm_doc):
                 rp = f"{path}/admissible/{i}"
-                ctrls = tuple(_require(row, "controls", rp))
+                ctrls = _names_at(_require(row, "controls", rp), f"{rp}/controls")
                 if not ctrls:
                     raise InstanceError(rp, "empty control set")
-                admissible[(_require(row, "time", rp), _require(row, "state", rp))] = ctrls
+                key = (_require(row, "time", rp, int), _require(row, "state", rp, str))
+                admissible[key] = ctrls
             tr_doc = _require(doc, "transition", path)
             if not isinstance(tr_doc, list):
                 raise InstanceError(f"{path}/transition", "expected a list")
@@ -258,12 +273,12 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
             for i, row in enumerate(tr_doc):
                 rp = f"{path}/transition/{i}"
                 key = (
-                    _require(row, "time", rp),
-                    _require(row, "state", rp),
-                    _require(row, "control", rp),
-                    _require(row, "label", rp),
+                    _require(row, "time", rp, int),
+                    _require(row, "state", rp, str),
+                    _require(row, "control", rp, str),
+                    _require(row, "label", rp, str),
                 )
-                transition[key] = _require(row, "next", rp)
+                transition[key] = _require(row, "next", rp, str)
             loss_doc = _require(doc, "loss", path)
             if not isinstance(loss_doc, dict) or not loss_doc:
                 raise InstanceError(f"{path}/loss", "expected a nonempty object")

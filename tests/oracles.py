@@ -11,16 +11,21 @@ from fractions import Fraction
 from itertools import product
 
 from robust_vdp import (
+    NOT_EXISTS,
     Cone,
     ControlledProblem,
     DynamicsSpec,
     Model,
     ModelFamily,
     ScenarioTree,
+    SupNotExistsError,
+    enumerate_strategies,
     one_step_R,
     prune_pareto,
+    vsup,
 )
 from robust_vdp.exactlp import dot, lp
+from robust_vdp.trees import expect
 
 
 def is_upper_bound(cone: Cone, points, v) -> bool:
@@ -87,6 +92,47 @@ def stepwise_pruned_backward(problem: ControlledProblem) -> dict:
             for key, vals in one_step_R(problem, t, level).items()
         }
         out[t] = level
+    return out
+
+
+def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
+    """Forward value sets by strategy enumeration: per reachable
+    (node, state) at t, every strategy's terminal table, its expectation
+    over the subtree under each model, and the supremum of those, deduped
+    in strategy order."""
+    tree = problem.tree
+
+    def table(strat, tt, nn, ss, acc):
+        if tt == tree.horizon:
+            acc[nn] = problem.terminal_loss_at(nn, ss)
+            return acc
+        a = strat.choice[(nn, ss)]
+        for c in tree.children[nn]:
+            table(strat, tt + 1, c, problem.next_state(tt, ss, a, c), acc)
+        return acc
+
+    def below(model, nn, tt, leaves):
+        if tt == tree.horizon:
+            return leaves[nn]
+        kids = [below(model, c, tt + 1, leaves) for c in tree.children[nn]]
+        return expect(model.transition[nn], kids)
+
+    out = {}
+    for node, state in problem.reachable[t]:
+        vals = []
+        for strat in enumerate_strategies(problem, t, node, state):
+            leaves = table(strat, t, node, state, {})
+            res = vsup(
+                problem.cone,
+                [below(m, node, t, leaves) for m in problem.family.models],
+            )
+            if res.status == NOT_EXISTS:
+                raise SupNotExistsError(
+                    f"supremum does not exist at t={t}, node={node!r}, strategy"
+                )
+            if res.value not in vals:
+                vals.append(res.value)
+        out[(node, state)] = tuple(vals)
     return out
 
 

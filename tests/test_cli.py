@@ -117,10 +117,33 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert code == 0
 
 
-def test_invalid_budget_env(capsys, monkeypatch):
-    monkeypatch.setenv("ROBUST_VDP_BUDGET", "many")
-    code, _, _ = run(capsys, "solve", "--instance", INSTANCE)
+def test_invalid_budget_env(tmp_path, capsys, monkeypatch):
+    doc = json.loads(open(INSTANCE, encoding="utf-8").read())
+    doc["options"] = {"budget": 0}
+    budget0 = tmp_path / "budget0.json"
+    budget0.write_text(json.dumps(doc))
+    for env, argv, source in (
+        ("many", ["--instance", INSTANCE], "ROBUST_VDP_BUDGET"),
+        ("0", ["--instance", INSTANCE], "ROBUST_VDP_BUDGET"),
+        (None, ["--instance", INSTANCE, "--budget", "0"], "--budget"),
+        (None, ["--instance", INSTANCE, "--budget", "-3"], "--budget"),
+        (None, ["--instance", str(budget0)], "/options/budget"),
+    ):
+        if env is None:
+            monkeypatch.delenv("ROBUST_VDP_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("ROBUST_VDP_BUDGET", env)
+        code, out, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {source}: expected a positive integer\n"
+
+
+def test_rect_negative_random_count(capsys):
+    code, out, err = run(capsys, "rect", "--instance", INSTANCE, "--random", "-1")
     assert code == 2
+    assert out == ""
+    assert err == "error: --random: count -1 is negative\n"
 
 
 def test_prune_flag(capsys):
@@ -130,15 +153,31 @@ def test_prune_flag(capsys):
 
 
 def test_time_only_on_solve_and_pareto(capsys):
-    for argv in (
-        ["check-bellman", "--instance", INSTANCE],
-        ["rect", "--instance", INSTANCE],
-        ["vsup", "--cone", HALFSPACE, "--points", HS_POINTS],
+    # every flag is offered only on the subcommands that read it
+    check_bellman = ["check-bellman", "--instance", INSTANCE]
+    rect = ["rect", "--instance", INSTANCE]
+    vsup = ["vsup", "--cone", HALFSPACE, "--points", HS_POINTS]
+    pareto = ["pareto", "--instance", INSTANCE]
+    solve = ["solve", "--instance", INSTANCE]
+    for argv, flag in (
+        (check_bellman, ["--time", "0"]),
+        (rect, ["--time", "0"]),
+        (vsup, ["--time", "0"]),
+        (check_bellman, ["--prune"]),
+        (rect, ["--prune"]),
+        (vsup, ["--prune"]),
+        (pareto, ["--prune"]),
+        (solve, ["--seed", "1"]),
+        (check_bellman, ["--seed", "1"]),
+        (vsup, ["--seed", "1"]),
+        (pareto, ["--seed", "1"]),
+        (rect, ["--budget", "5"]),
+        (vsup, ["--budget", "5"]),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--time", "0"])
+            main(argv + flag)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --time" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_time_outside_horizon(capsys):
@@ -177,3 +216,17 @@ def test_rect_test_vectors_with_float_literal(tmp_path, capsys):
     code, _, err = run(capsys, "rect", "--instance", INSTANCE, "--test-vectors", str(vectors))
     assert code == 2
     assert "floating-point literal" in err and "Traceback" not in err
+
+
+def test_pareto_below_an_over_budget_root(capsys):
+    # two root strategies, one from each time-1 point
+    code, out, _ = run(
+        capsys, "pareto", "--instance", INSTANCE, "--time", "1", "--budget", "1"
+    )
+    assert code == 0
+    assert "P1(u|phi) = {(6,4)}" in out
+    code, _, err = run(
+        capsys, "pareto", "--instance", INSTANCE, "--time", "0", "--budget", "1"
+    )
+    assert code == 3
+    assert err == "error: strategy enumeration exceeds the budget of 1\n"

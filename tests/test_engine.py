@@ -25,7 +25,6 @@ from robust_vdp import (
     one_step_R,
     parse_document,
     prune_pareto,
-    terminal_loss,
     upper_image,
     value_sets,
 )
@@ -33,7 +32,11 @@ from robust_vdp import engine
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
-from .oracles import random_dynamics_problem, stepwise_pruned_backward
+from .oracles import (
+    random_dynamics_problem,
+    stepwise_pruned_backward,
+    strategy_value_sets,
+)
 
 F = Fraction
 
@@ -133,13 +136,86 @@ def test_budget_exceeded_in_enumeration():
         backward_value(problem)
 
 
-def test_terminal_loss_tabulated(binomial):
-    strats = {s.describe(): s for s in enumerate_strategies(binomial)}
-    x = terminal_loss(binomial, strats["phi"])
-    assert x.at("uu") == (F(8), F(0))
-    assert x.at("dd") == (F(8), F(8))
-    y = terminal_loss(binomial, strats["psi"])
-    assert y.at("du") == (F(6), F(0))
+def test_budget_counts_strategies_not_profiles():
+    # every loss equal: 8 strategies share one profile
+    tree = binary_two_period_tree()
+    dyn = simple_dynamics(tree)
+    dyn = dataclasses.replace(dyn, loss={s: (F(1),) for s in dyn.loss})
+    problem = ControlledProblem(
+        tree=tree,
+        family=uniform_family(tree, 2),
+        cone=Cone.componentwise(1),
+        mode="dynamics",
+        dynamics=dyn,
+        budget=3,
+    )
+    assert value_sets(problem, 1) == {
+        key: ((F(1),),) for key in problem.reachable[1]
+    }
+    with pytest.raises(DeskScaleExceededError) as exc:
+        value_sets(problem, 0)
+    assert str(exc.value) == "strategy enumeration exceeds the budget of 3"
+
+
+def test_value_sets_builds_no_level_before_t(binomial):
+    # two root strategies, one from each time-1 point: only the root is
+    # over a budget of 1
+    problem = dataclasses.replace(binomial, budget=1)
+    assert value_sets(problem, 1) == value_sets(binomial, 1)
+    assert sorted(problem.profile_levels) == [1, 2]
+    with pytest.raises(DeskScaleExceededError):
+        value_sets(problem, 0)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DeskScaleExceededError, SupNotExistsError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_value_sets_equal_strategy_enumeration():
+    rng = random.Random(113)
+    three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    halfspace = Cone.halfspace((1, 1))
+    problems = [
+        random_dynamics_problem(
+            rng, max_controls=3, n_states=3, rectangular=bool(i % 2)
+        )
+        for i in range(120)
+    ]
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(rng, dim=3, max_controls=3, n_states=3),
+            cone=three_duals,
+        )
+        for _ in range(15)
+    ]
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(rng, max_controls=3, n_states=3), cone=halfspace
+        )
+        for _ in range(15)
+    ]
+    problems += [
+        parse_document(read_text(name)).problem
+        for name in (
+            "binomial_tables.json",
+            "binomial_tables_independent.json",
+            "binomial_marginals.json",
+        )
+    ]
+    assert not halfspace.is_pointed()
+    over_budget = 0
+    for problem in problems:
+        # a budget of 500 keeps the enumeration short and compares the
+        # budget errors of the few larger problems too
+        problem = dataclasses.replace(problem, budget=500)
+        for t in range(problem.tree.horizon + 1):
+            got = _outcome(value_sets, problem, t)
+            assert got == _outcome(strategy_value_sets, problem, t)
+            over_budget += not isinstance(got, dict)
+    assert 0 < over_budget < 10
 
 
 def test_value_sets_match_published_example(binomial):
@@ -288,6 +364,13 @@ def test_compute_results_builds_each_family_once(binomial, monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(engine, name, counted)
+    levels = Counter()
+
+    def counted_level(problem, t, below, _fn=engine._profile_level):
+        levels[t] += 1
+        return _fn(problem, t, below)
+
+    monkeypatch.setattr(engine, "_profile_level", counted_level)
     compute_results(binomial, prune=True)
     horizon = binomial.tree.horizon
     assert calls == {
@@ -296,6 +379,7 @@ def test_compute_results_builds_each_family_once(binomial, monkeypatch):
         "backward_value": 1,
         "one_step_R": horizon,
     }
+    assert levels == {t: 1 for t in range(horizon + 1)}
 
 
 def test_upper_image(binomial):
