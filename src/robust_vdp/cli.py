@@ -8,13 +8,12 @@ refused (budget exceeded) or a required supremum does not exist.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from typing import Optional
 
-from .cones import Cone, DimensionMismatchError, RepresentationError
+from .cones import DimensionMismatchError, RepresentationError
 from .engine import upper_image
 from .errors import (
     DeskScaleExceededError,
@@ -24,7 +23,6 @@ from .errors import (
     UnsupportedConeError,
 )
 from .instance import (
-    ParsedInstance,
     _load_json,
     _parse_cone,
     _problem_dim,
@@ -64,16 +62,16 @@ def _read(path: str) -> str:
         raise InstanceError(path, f"cannot read file: {e.strerror}") from e
 
 
-def _effective_budget(args, inst: ParsedInstance) -> int:
-    """The first of --budget, $ROBUST_VDP_BUDGET and the document's budget
-    that is set; it must be a positive integer."""
+def _budget_override(args) -> Optional[int]:
+    """The first of --budget and $ROBUST_VDP_BUDGET that is set, which must
+    be a positive integer; None leaves the document's budget."""
     env = os.environ.get(BUDGET_ENV)
     if args.budget is not None:
         source, raw = "--budget", args.budget
     elif env is not None:
         source, raw = BUDGET_ENV, env
     else:
-        source, raw = "/options/budget", inst.options.budget
+        return None
     try:
         if int(raw) >= 1:
             return int(raw)
@@ -83,10 +81,8 @@ def _effective_budget(args, inst: ParsedInstance) -> int:
 
 
 def _load_problem(args):
-    inst = parse_document(_read(args.instance))
-    budget = _effective_budget(args, inst)
-    problem = dataclasses.replace(inst.problem, budget=budget)
-    return problem, inst
+    inst = parse_document(_read(args.instance), _budget_override(args))
+    return inst.problem, inst
 
 
 def _time_arg(args, problem) -> Optional[int]:
@@ -99,8 +95,7 @@ def _time_arg(args, problem) -> Optional[int]:
 
 def _print(args, text: str, payload: Optional[dict] = None):
     if args.format == "json":
-        print(json.dumps(payload if payload is not None else {"text": text},
-                         ensure_ascii=False, indent=2))
+        print(json.dumps(payload, ensure_ascii=False, indent=2))
     else:
         sys.stdout.write(text)
 

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .cones import COMPONENTWISE, Cone, minimal_elements
 from .errors import (
     DeskScaleExceededError,
+    InstanceError,
     SupNotExistsError,
     UnsupportedConeError,
 )
@@ -50,6 +51,9 @@ ProfileLevel = dict[tuple[str, str], tuple[int, tuple[tuple[Vec, ...], ...]]]
 
 @dataclass(frozen=True)
 class DynamicsSpec:
+    """The dynamics of an instance document's ``/problem``; the problem's
+    lookups report a missing entry as an ``InstanceError`` at its path."""
+
     initial_state: str
     #: (time, state) -> admissible one-step controls
     admissible: Mapping[tuple[int, str], tuple[str, ...]]
@@ -108,7 +112,8 @@ class ControlledProblem:
         if self.mode == DYNAMICS:
             ctrls = self.dynamics.admissible.get((t, state))
             if not ctrls:
-                raise ValueError(f"no admissible control at (t={t}, {state!r})")
+                raise InstanceError("/problem/admissible",
+                                    f"no admissible control at (t={t}, {state!r})")
             return ctrls
         if t == 0:
             return tuple(sorted(self.strategies))
@@ -119,14 +124,16 @@ class ControlledProblem:
             label = self.tree.label(child)
             key = (t, state, control, label)
             if key not in self.dynamics.transition:
-                raise ValueError(f"dynamics transition missing for {key}")
+                raise InstanceError("/problem/transition",
+                                    f"dynamics transition missing for {key}")
             return self.dynamics.transition[key]
         return control if t == 0 else state
 
     def terminal_loss_at(self, leaf: str, state: str) -> Vec:
         if self.mode == DYNAMICS:
             if state not in self.dynamics.loss:
-                raise ValueError(f"no loss for terminal state {state!r}")
+                raise InstanceError("/problem/loss",
+                                    f"no loss for terminal state {state!r}")
             return self.dynamics.loss[state]
         return self.strategies[state][leaf]
 
@@ -311,10 +318,12 @@ def _one_step_sets(
     next_sets: Mapping[tuple[str, str], Sequence[Vec]],
 ) -> LevelSets:
     """Selector recursion: per (node, state), the suprema over models of
-    one-step expectations of every per-child selection from next_sets."""
+    one-step expectations of every per-child selection from next_sets.  A
+    supremum ignores repeated points, so each distinct node row is taken
+    once."""
     out: LevelSets = {}
     for node, state in problem.reachable[t]:
-        rows = [m.transition[node] for m in problem.family.models]
+        rows = problem.family.rows[node]
         context = f"t={t}, node={node!r}, selector"
         out[(node, state)] = tuple(dict.fromkeys(
             _sup_or_raise(problem, [expect(row, combo) for row in rows], context)
@@ -531,7 +540,7 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
             for key, vals in gens[t + 1].items()
         }
         rec_perturbed = _one_step_sets(problem, t, perturbed)
-        rec_pure = _one_step_sets(problem, t, gens[t + 1])
+        rec_pure = _one_step_sets(problem, t, gens[t + 1]) if rect else None
         ok = True
         eq: Optional[bool] = True if rect else None
         witnesses = []

@@ -56,10 +56,6 @@ def vneg(a: Vec) -> Vec:
     return tuple(-x for x in a)
 
 
-def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian elimination
 

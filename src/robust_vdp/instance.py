@@ -168,7 +168,7 @@ def _parse_transition_row(doc, tree: ScenarioTree, path: str) -> dict[str, Vec]:
         raise InstanceError(path, "expected an object mapping nodes to rows")
     out = {}
     for n, row in doc.items():
-        if n not in {x for t in range(tree.horizon) for x in tree.nodes_at(t)}:
+        if n not in tree.inner_nodes:
             raise InstanceError(f"{path}/{n}", "dangling node reference")
         p = _vec_at(row, f"{path}/{n}", len(tree.children[n]))
         s = sum(p)
@@ -289,10 +289,15 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
                 initial_state=initial, admissible=admissible,
                 transition=transition, loss=loss,
             )
-            return ControlledProblem(
+            problem = ControlledProblem(
                 tree=tree, family=family, cone=cone, mode=DYNAMICS,
                 dynamics=dyn, budget=budget,
             )
+            # a missing admissible row, transition or loss on a reachable path
+            # is an input error naming its key, whatever the budget
+            for leaf, state in problem.reachable[tree.horizon]:
+                problem.terminal_loss_at(leaf, state)
+            return problem
     except InstanceError:
         raise
     except ValueError as e:
@@ -300,7 +305,9 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
     raise InstanceError(f"{path}/mode", f"unknown problem mode {mode!r}")
 
 
-def parse_document(text: str) -> ParsedInstance:
+def parse_document(text: str, budget: Optional[int] = None) -> ParsedInstance:
+    """Parse and validate an instance document; a given budget replaces the
+    document's own in the problem (``options`` keeps the document's)."""
     doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InstanceError("/", "top-level document must be an object")
@@ -313,8 +320,8 @@ def parse_document(text: str) -> ParsedInstance:
     opts_doc = doc.get("options", {})
     if not isinstance(opts_doc, dict):
         raise InstanceError("/options", "expected an object")
-    budget = opts_doc.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
+    doc_budget = opts_doc.get("budget", DEFAULT_BUDGET)
+    if not isinstance(doc_budget, int) or doc_budget < 1:
         raise InstanceError("/options/budget", "expected a positive integer")
     prune = opts_doc.get("prune", False)
     if not isinstance(prune, bool):
@@ -327,14 +334,15 @@ def parse_document(text: str) -> ParsedInstance:
     family = _parse_models(_require(doc, "models", "/"), tree, "/models")
     try:
         problem = _parse_problem(
-            _require(doc, "problem", "/"), tree, family, cone, dim, budget, "/problem"
+            _require(doc, "problem", "/"), tree, family, cone, dim,
+            doc_budget if budget is None else budget, "/problem",
         )
     except InstanceError:
         raise
     except ValueError as e:
         raise InstanceError("/problem", str(e)) from e
     return ParsedInstance(
-        problem=problem, options=Options(budget=budget, prune=prune, seed=seed)
+        problem=problem, options=Options(budget=doc_budget, prune=prune, seed=seed)
     )
 
 
@@ -386,9 +394,7 @@ def serialize_instance(inst: ParsedInstance) -> str:
                 {
                     "id": m.id,
                     "transition": {
-                        n: _rat_vec(m.transition[n])
-                        for t in range(tree.horizon)
-                        for n in tree.nodes_at(t)
+                        n: _rat_vec(m.transition[n]) for n in tree.inner_nodes
                     },
                 }
                 for m in p.family.models

@@ -10,9 +10,10 @@ empirical check on supplied or sampled terminal vectors is possible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
@@ -32,14 +33,10 @@ from .trees import (
 MarginalSets = Mapping[str, Sequence[tuple[Fraction, ...]]]
 
 
-def _nonterminal_nodes(tree: ScenarioTree) -> list[str]:
-    return [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
-
-
 def rectangularize(tree: ScenarioTree, marginals: MarginalSets) -> ModelFamily:
     """All models obtained by independently picking one candidate
     transition vector per non-terminal node."""
-    nodes = _nonterminal_nodes(tree)
+    nodes = tree.inner_nodes
     for n in nodes:
         if not marginals.get(n):
             raise ValueError(f"no transition candidates at node {n!r}")
@@ -53,28 +50,16 @@ def rectangularize(tree: ScenarioTree, marginals: MarginalSets) -> ModelFamily:
 
 def extract_marginals(family: ModelFamily) -> dict[str, list[tuple[Fraction, ...]]]:
     """Per node, the distinct transition vectors used across the family."""
-    out: dict[str, list[tuple[Fraction, ...]]] = {}
-    for n in _nonterminal_nodes(family.tree):
-        seen: list[tuple[Fraction, ...]] = []
-        for m in family.models:
-            p = tuple(m.transition[n])
-            if p not in seen:
-                seen.append(p)
-        out[n] = seen
-    return out
+    return {n: list(rows) for n, rows in family.rows.items()}
 
 
 def is_m_rectangular(family: ModelFamily) -> bool:
     """Structural test: the family equals the full product of its own
     node-wise marginal sets."""
-    marginals = extract_marginals(family)
     assignments = {m.assignment(family.tree) for m in family.models}
-    expected = 1
-    for n in _nonterminal_nodes(family.tree):
-        expected *= len(marginals[n])
-    # every model draws its rows from the extracted marginals, so the
-    # family is a subset of the product; equality is a counting question
-    return len(assignments) == expected
+    # every model draws its rows from the family's distinct node rows, so
+    # the family is a subset of their product; equality is a counting question
+    return len(assignments) == prod(len(rows) for rows in family.rows.values())
 
 
 @dataclass(frozen=True)
@@ -158,46 +143,40 @@ def check_preorder_rectangularity(
     vectors = list(test_vectors)
     records = []
     pointed = cone.is_pointed()
-    for idx, x in enumerate(vectors):
+    models = family.models
+    # a horizon-1 tree has no (vector, t) pair to check
+    for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
+        # direct[t] = sup_m E_t[X], each model stepped down one level at a
+        # time; direct[t + 1] is also the inner supremum of the check at t
+        direct = {}
+        level = [x] * len(models)
+        for t in range(tree.horizon - 1, -1, -1):
+            level = [cond_expect(tree, m, e, t) for m, e in zip(models, level)]
+            # the check at 0 reads direct[0] only when direct[1] exists
+            if t > 0 or direct[1].status != NOT_EXISTS:
+                direct[t] = vsup_adapted(cone, level)
         for t in range(tree.horizon - 1):
-            inner = vsup_adapted(
-                cone, [cond_expect(tree, m, x, t + 1) for m in family.models]
-            )
+            inner, failure = direct[t + 1], None
             if inner.status == NOT_EXISTS:
+                failure = f"inner supremum at t={t + 1}"
+            else:
+                nested = vsup_adapted(
+                    cone, [cond_expect(tree, m, inner.value, t) for m in models]
+                )
+                if nested.status == NOT_EXISTS or direct[t].status == NOT_EXISTS:
+                    failure = f"outer supremum at t={t}"
+            if failure:
                 records.append(
-                    RectCheckRecord(
-                        idx, t, None, None, None,
-                        sup_failure=f"inner supremum at t={t + 1}",
-                    )
+                    RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
                 )
                 continue
-            nested = vsup_adapted(
-                cone,
-                [cond_expect(tree, m, inner.value, t) for m in family.models],
-            )
-            direct = vsup_adapted(
-                cone, [cond_expect(tree, m, x, t) for m in family.models]
-            )
-            if nested.status == NOT_EXISTS or direct.status == NOT_EXISTS:
-                records.append(
-                    RectCheckRecord(
-                        idx, t, None, None, None,
-                        sup_failure=f"outer supremum at t={t}",
-                    )
-                )
-                continue
-            fwd = leq_t(cone, nested.value, direct.value)
-            rev = leq_t(cone, direct.value, nested.value)
-            eq = (nested.value.values == direct.value.values) if pointed else None
+            nv, dv = nested.value, direct[t].value
             records.append(
                 RectCheckRecord(
-                    idx,
-                    t,
-                    fwd,
-                    rev,
-                    eq,
-                    nested_root=nested.value.at(tree.root) if t == 0 else None,
-                    direct_root=direct.value.at(tree.root) if t == 0 else None,
+                    idx, t, leq_t(cone, nv, dv), leq_t(cone, dv, nv),
+                    (nv.values == dv.values) if pointed else None,
+                    nested_root=nv.at(tree.root) if t == 0 else None,
+                    direct_root=dv.at(tree.root) if t == 0 else None,
                 )
             )
     return RectReport(

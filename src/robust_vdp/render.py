@@ -92,8 +92,9 @@ def _expectation_tables(problem: ControlledProblem) -> list[str]:
         )
         for m in problem.family.models:
             lines.append(f"  model {m.id}:")
+            e = terminal
             for t in range(tree.horizon - 1, -1, -1):
-                e = cond_expect(tree, m, terminal, t)
+                e = cond_expect(tree, m, e, t)
                 cells = "  ".join(
                     f"{n}={fmt_vec(e.at(n))}" for n in tree.nodes_at(t)
                 )

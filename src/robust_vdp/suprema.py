@@ -48,10 +48,6 @@ class SupResult:
     #: the canonical candidate used in the non-existence certificate
     candidate: Optional[Vec] = None
 
-    @property
-    def exists(self) -> bool:
-        return self.status != NOT_EXISTS
-
 
 def _require_points(xs) -> list[Vec]:
     pts = [vec(x) for x in xs]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone, DimensionMismatchError
@@ -63,6 +64,11 @@ class ScenarioTree:
     def nodes_at(self, t: int) -> tuple[str, ...]:
         return self.levels[t]
 
+    @cached_property
+    def inner_nodes(self) -> tuple[str, ...]:
+        """The non-terminal nodes, level by level (times 0..T-1)."""
+        return tuple(n for level in self.levels[:-1] for n in level)
+
     def time_of(self, node: str) -> int:
         for t, level in enumerate(self.levels):
             if node in level:
@@ -88,32 +94,24 @@ class Model:
     transition: Mapping[str, tuple[Fraction, ...]]
 
     def validate(self, tree: ScenarioTree):
-        for t in range(tree.horizon):
-            for n in tree.nodes_at(t):
-                p = self.transition.get(n)
-                if p is None:
-                    raise ValueError(f"model {self.id}: no transition at {n!r}")
-                if len(p) != len(tree.children[n]):
-                    raise ValueError(
-                        f"model {self.id}: transition at {n!r} has wrong arity"
-                    )
-                if any(x < 0 for x in p):
-                    raise ValueError(
-                        f"model {self.id}: negative probability at {n!r}"
-                    )
-                if sum(p) != 1:
-                    raise ValueError(
-                        f"model {self.id}: probabilities at {n!r} sum to "
-                        f"{sum(p)} != 1"
-                    )
+        for n in tree.inner_nodes:
+            p = self.transition.get(n)
+            if p is None:
+                raise ValueError(f"model {self.id}: no transition at {n!r}")
+            if len(p) != len(tree.children[n]):
+                raise ValueError(
+                    f"model {self.id}: transition at {n!r} has wrong arity"
+                )
+            if any(x < 0 for x in p):
+                raise ValueError(f"model {self.id}: negative probability at {n!r}")
+            if sum(p) != 1:
+                raise ValueError(
+                    f"model {self.id}: probabilities at {n!r} sum to {sum(p)} != 1"
+                )
 
     def assignment(self, tree: ScenarioTree) -> tuple:
         """Hashable transition assignment in canonical node order."""
-        return tuple(
-            self.transition[n]
-            for t in range(tree.horizon)
-            for n in tree.nodes_at(t)
-        )
+        return tuple(self.transition[n] for n in tree.inner_nodes)
 
 
 @dataclass(frozen=True)
@@ -129,6 +127,15 @@ class ModelFamily:
             raise ValueError("model ids must be unique")
         for m in self.models:
             m.validate(self.tree)
+
+    @cached_property
+    def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
+        """Per non-terminal node, the distinct transition rows of the
+        family, in order of first occurrence."""
+        return {
+            n: tuple(dict.fromkeys(tuple(m.transition[n]) for m in self.models))
+            for n in self.tree.inner_nodes
+        }
 
     def by_id(self, model_id: str) -> Model:
         for m in self.models:
@@ -209,10 +216,6 @@ class AdaptedSupResult:
     alternative: Optional[AdaptedVector] = None
     #: node -> SupResult for nodes where the supremum does not exist
     failures: Mapping[str, SupResult] = field(default_factory=dict)
-
-    @property
-    def exists(self) -> bool:
-        return self.status != NOT_EXISTS
 
 
 def vsup_adapted(cone: Cone, xs: Iterable[AdaptedVector]) -> AdaptedSupResult:

@@ -17,14 +17,20 @@ from robust_vdp import (
     DynamicsSpec,
     Model,
     ModelFamily,
+    RectReport,
     ScenarioTree,
     SupNotExistsError,
+    cond_expect,
     enumerate_strategies,
+    leq_t,
     one_step_R,
     prune_pareto,
     vsup,
+    vsup_adapted,
 )
+from robust_vdp.engine import _selections, _sup_or_raise
 from robust_vdp.exactlp import dot, lp
+from robust_vdp.rectangularity import RectCheckRecord
 from robust_vdp.trees import expect
 
 
@@ -134,6 +140,61 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
                 vals.append(res.value)
         out[(node, state)] = tuple(vals)
     return out
+
+
+def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> dict:
+    """The selector recursion with one expectation per model, repeated node
+    rows included; a drop-in for ``engine._one_step_sets``."""
+    out = {}
+    for node, state in problem.reachable[t]:
+        rows = [m.transition[node] for m in problem.family.models]
+        context = f"t={t}, node={node!r}, selector"
+        out[(node, state)] = tuple(dict.fromkeys(
+            _sup_or_raise(problem, [expect(row, combo) for row in rows], context)
+            for combo in _selections(problem, t, node, state, next_sets)
+        ))
+    return out
+
+
+def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:
+    """``check_preorder_rectangularity`` by definition: per (vector, t), the
+    inner, nested and direct worst cases each from their own conditional
+    expectations of the terminal vector."""
+    vectors = list(test_vectors)
+    records = []
+    pointed = cone.is_pointed()
+    for idx, x in enumerate(vectors):
+        for t in range(tree.horizon - 1):
+            inner = vsup_adapted(
+                cone, [cond_expect(tree, m, x, t + 1) for m in family.models]
+            )
+            if inner.status == NOT_EXISTS:
+                records.append(RectCheckRecord(
+                    idx, t, None, None, None, sup_failure=f"inner supremum at t={t + 1}"
+                ))
+                continue
+            nested = vsup_adapted(
+                cone, [cond_expect(tree, m, inner.value, t) for m in family.models]
+            )
+            direct = vsup_adapted(
+                cone, [cond_expect(tree, m, x, t) for m in family.models]
+            )
+            if nested.status == NOT_EXISTS or direct.status == NOT_EXISTS:
+                records.append(RectCheckRecord(
+                    idx, t, None, None, None, sup_failure=f"outer supremum at t={t}"
+                ))
+                continue
+            records.append(RectCheckRecord(
+                idx, t,
+                leq_t(cone, nested.value, direct.value),
+                leq_t(cone, direct.value, nested.value),
+                (nested.value.values == direct.value.values) if pointed else None,
+                nested_root=nested.value.at(tree.root) if t == 0 else None,
+                direct_root=direct.value.at(tree.root) if t == 0 else None,
+            ))
+    return RectReport(
+        records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -230,3 +230,78 @@ def test_pareto_below_an_over_budget_root(capsys):
     )
     assert code == 3
     assert err == "error: strategy enumeration exceeds the budget of 1\n"
+
+
+def _dynamics_doc() -> dict:
+    """Two binary periods; controls a and b send every branch to s1 and s2,
+    so the root has 8 strategies."""
+    ab = ["a", "b"]
+    return {
+        "dimension": 1,
+        "cone": {"kind": "componentwise"},
+        "tree": {
+            "horizon": 2,
+            "levels": [["n0"], ["u", "d"], ["uu", "ud", "du", "dd"]],
+            "children": {"n0": ["u", "d"], "u": ["uu", "ud"], "d": ["du", "dd"]},
+            "labels": {"u": "up", "d": "down", "uu": "up", "ud": "down",
+                       "du": "up", "dd": "down"},
+        },
+        "models": {"explicit": [{"id": "m", "transition": {
+            n: ["1/2", "1/2"] for n in ("n0", "u", "d")
+        }}]},
+        "problem": {
+            "mode": "dynamics",
+            "initial_state": "s0",
+            "admissible": [
+                {"time": t, "state": s, "controls": ab}
+                for t in (0, 1) for s in ("s0", "s1", "s2")
+            ],
+            "transition": [
+                {"time": t, "state": s, "control": a, "label": lab,
+                 "next": "s1" if a == "a" else "s2"}
+                for t in (0, 1) for s in ("s0", "s1", "s2") for a in ab
+                for lab in ("up", "down")
+            ],
+            "loss": {"s0": [0], "s1": [1], "s2": [2]},
+        },
+    }
+
+
+@pytest.mark.parametrize("part, drop, message", [
+    ("loss", "s2", "/problem/loss: no loss for terminal state 's2'"),
+    ("admissible", {"time": 1, "state": "s2"},
+     "/problem/admissible: no admissible control at (t=1, 's2')"),
+    ("transition", {"time": 1, "state": "s1", "control": "b", "label": "down"},
+     "/problem/transition: dynamics transition missing for (1, 's1', 'b', 'down')"),
+])
+def test_missing_reachable_dynamics_entry_is_an_input_error(
+    tmp_path, capsys, part, drop, message
+):
+    doc = _dynamics_doc()
+    entries = doc["problem"][part]
+    if isinstance(entries, dict):
+        del entries[drop]
+    else:
+        entries[:] = [e for e in entries if any(e[k] != v for k, v in drop.items())]
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    # the root's 8 strategies exceed a budget of 4, yet the input error wins
+    for argv in (["solve", "--budget", "4"], ["check-bellman"], ["rect"]):
+        code, out, err = run(capsys, *argv, "--instance", str(instance))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):
+    from robust_vdp import engine
+
+    calls = []
+    walk = engine.reachable_states
+    monkeypatch.setattr(
+        engine, "reachable_states", lambda p: calls.append(p) or walk(p)
+    )
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(_dynamics_doc()))
+    for argv in (["solve", "--budget", "40"], ["check-bellman"], ["pareto"], ["rect"]):
+        calls.clear()
+        code, _, _ = run(capsys, *argv, "--instance", str(instance))
+        assert code in (0, 1) and len(calls) == 1

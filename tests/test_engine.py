@@ -25,6 +25,7 @@ from robust_vdp import (
     one_step_R,
     parse_document,
     prune_pareto,
+    rectangularize,
     upper_image,
     value_sets,
 )
@@ -33,6 +34,7 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
 from .oracles import (
+    per_model_one_step_sets,
     random_dynamics_problem,
     stepwise_pruned_backward,
     strategy_value_sets,
@@ -170,7 +172,7 @@ def test_value_sets_builds_no_level_before_t(binomial):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (DeskScaleExceededError, SupNotExistsError) as e:
+    except (DeskScaleExceededError, SupNotExistsError, UnsupportedConeError) as e:
         return type(e).__name__, str(e)
 
 
@@ -412,3 +414,86 @@ def test_upper_image_recursion_inclusion_holds_without_rectangularity(independen
     report = check_upper_image_recursion(independent)
     assert not report.m_rectangular
     assert report.inclusion_ok
+
+
+def test_one_step_equals_per_model_expectations(monkeypatch):
+    rng = random.Random(127)
+    roof = _parse_cone(json.loads(read_text("cone_roof3d.json")), 3, "/")
+    three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    problems = []
+    for i in range(24):
+        rect = bool(i % 2)
+        problems += [
+            random_dynamics_problem(rng, max_controls=3, n_states=3, rectangular=rect),
+            dataclasses.replace(
+                random_dynamics_problem(rng, dim=3, n_states=3, rectangular=rect),
+                cone=three_duals,
+            ),
+            dataclasses.replace(
+                random_dynamics_problem(rng, n_states=3, rectangular=rect),
+                cone=Cone.halfspace((1, 1)),
+            ),
+        ]
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(
+                rng, dim=3, max_controls=1, max_models=3, rectangular=bool(i % 2)
+            ),
+            cone=roof,
+        )
+        for i in range(2)
+    ]
+
+    def outcomes(problem, v):
+        out = {"B": _outcome(backward_value, problem),
+               "U": _outcome(check_upper_image_recursion, problem)}
+        for t in range(problem.tree.horizon):
+            if isinstance(v[t + 1], dict):
+                out[t] = _outcome(one_step_R, problem, t, v[t + 1])
+        return out
+
+    repeated = no_sup = 0
+    for problem in problems:
+        problem = dataclasses.replace(problem, budget=500)
+        v = {
+            t: _outcome(value_sets, problem, t)
+            for t in range(1, problem.tree.horizon + 1)
+        }
+        got = outcomes(problem, v)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_one_step_sets", per_model_one_step_sets)
+            assert got == outcomes(problem, v)
+        family = problem.family
+        repeated += any(
+            len(rows) < len(family.models) for rows in family.rows.values()
+        )
+        no_sup += "SupNotExistsError" in got["B"]
+    assert repeated > 20 and no_sup > 0
+
+
+def test_one_step_takes_each_distinct_row_once(monkeypatch):
+    tree = binary_two_period_tree()
+    rows = [(F(1, 2), F(1, 2)), (F(1, 4), F(3, 4))]
+    family = rectangularize(tree, {n: rows for n in ("n0", "u", "d")})
+    problem = ControlledProblem(
+        tree=tree, family=family, cone=Cone.componentwise(1), mode="dynamics",
+        dynamics=simple_dynamics(tree),
+    )
+    counts = Counter()
+    selections, expect = engine._selections, engine.expect
+
+    def counted_selections(*args):
+        for combo in selections(*args):
+            counts["selections"] += 1
+            yield combo
+
+    def counted_expect(*args):
+        counts["expect"] += 1
+        return expect(*args)
+
+    monkeypatch.setattr(engine, "_selections", counted_selections)
+    monkeypatch.setattr(engine, "expect", counted_expect)
+    backward_value(problem)
+    assert len(family.models) == 8
+    assert counts["selections"] > 0
+    assert counts["expect"] == 2 * counts["selections"]

@@ -1,0 +1,59 @@
+"""Every layer the benchmark maps to a workload is still reached by one pass
+over that workload's catalog.
+
+The benchmark's spans wrap functions by the module attribute their callers
+look them up through; a refactor that stops calling one leaves its layer
+metric empty.  This test makes that a tier-1 failure.  It reads the
+benchmark's ``gen.py`` and ``spans.py`` and writes only under ``tmp_path``.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from robust_vdp.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # no byte-code cache under perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+gen = _load("gen")
+spans = _load("spans")
+
+
+@pytest.mark.parametrize("workload", sorted(spans.MAPPED))
+def test_one_traced_pass_records_every_mapped_layer(workload, tmp_path, monkeypatch):
+    entries = gen.write(workload, 1, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ROBUST_VDP_BUDGET", raising=False)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for call in (c for e in entries for c in e.calls):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert tracer.call(main, list(call.argv)) in (0, 1, 3)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.totals()[2] + tracer.counts
+    missing = [m for m in spans.MAPPED[workload]
+               if not recorded[spans.LAYER_METRICS[m][0]]]
+    assert missing == []

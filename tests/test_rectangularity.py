@@ -1,10 +1,13 @@
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from robust_vdp import (
     Cone,
+    DeskScaleExceededError,
     check_preorder_rectangularity,
     extract_marginals,
     is_m_rectangular,
@@ -12,9 +15,11 @@ from robust_vdp import (
     random_terminal_vectors,
     rectangularize,
 )
+from robust_vdp import rectangularity, trees
 from robust_vdp.data import read_text
+from robust_vdp.instance import _parse_cone
 
-from .oracles import random_family, random_tree
+from .oracles import nested_direct_rect_check, random_family, random_tree
 
 F = Fraction
 
@@ -109,3 +114,64 @@ def test_random_terminal_vectors_deterministic(full_family):
     a = random_terminal_vectors(tree, 2, 5, seed=9)
     b = random_terminal_vectors(tree, 2, 5, seed=9)
     assert [x.values for x in a] == [y.values for y in b]
+
+
+def _rect_outcome(check, *args):
+    try:
+        return check(*args)
+    except DeskScaleExceededError as e:
+        return type(e).__name__, str(e)
+
+
+def test_level_walk_equals_nested_direct_definition():
+    rng = random.Random(47)
+    roof = _parse_cone(json.loads(read_text("cone_roof3d.json")), 3, "/")
+    cones = [
+        Cone.componentwise(2),
+        Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]]),
+        Cone.halfspace((1, 1)),
+    ]
+    # roof suprema take an exact LP each: fewer and smaller trees there
+    cases = [(cones[i % 3], random_tree(rng)) for i in range(36)]
+    cases += [(roof, random_tree(rng, 2, 2, 4)) for _ in range(6)]
+    seen = Counter()
+    for i, (cone, tree) in enumerate(cases):
+        family = random_family(rng, tree, rectangular=bool(i % 2))
+        vectors = random_terminal_vectors(tree, cone.dim, 2, seed=i)
+        args = (cone, tree, family, vectors, i)
+        report = _rect_outcome(check_preorder_rectangularity, *args)
+        assert report == _rect_outcome(nested_direct_rect_check, *args)
+        seen["sup failure"] += any(r.sup_failure for r in report.records)
+        seen["no records"] += not report.records
+        seen["counterexample"] += not report.rectangular_on_sample
+    assert seen["sup failure"] and seen["no records"] and seen["counterexample"]
+
+
+def test_rect_check_steps_each_model_one_level_at_a_time(full_family, monkeypatch):
+    steps = []
+    walk = rectangularity.cond_expect
+
+    def counted(tree, model, x, t):
+        steps.append(x.time - t)
+        return walk(tree, model, x, t)
+
+    monkeypatch.setattr(rectangularity, "cond_expect", counted)
+    tree = full_family.tree
+    vectors = random_terminal_vectors(tree, 2, 5, seed=3)
+    check_preorder_rectangularity(Cone.componentwise(2), tree, full_family, vectors)
+    # per vector and model: the H levels of the walk, and the H - 1 nested
+    # expectations of the inner suprema
+    models, horizon = len(full_family.models), tree.horizon
+    assert steps == [1] * 5 * models * (2 * horizon - 1)
+
+
+def test_rect_check_on_a_horizon_one_tree(monkeypatch):
+    calls = []
+    monkeypatch.setattr(trees, "vsup", lambda *args: calls.append(args))
+    tree = random_tree(random.Random(1), max_depth=1)
+    family = random_family(random.Random(2), tree)
+    vectors = random_terminal_vectors(tree, 2, 4, seed=5)
+    report = check_preorder_rectangularity(Cone.componentwise(2), tree, family, vectors)
+    assert tree.horizon == 1
+    assert report.records == () and report.n_vectors == 4
+    assert calls == []
