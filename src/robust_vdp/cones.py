@@ -4,13 +4,25 @@ A cone may carry a generator representation (``C = cone(G)``), a dual
 representation (``C = {x : <b_i, x> >= 0}``), or both.  Operations dispatch
 on whichever representation is available; converting between the two is
 deliberately not implemented.
+
+With dual rows ``b_1..b_k``, ``x <= y`` holds exactly when
+``<b_i, x> <= <b_i, y>`` for every i, because that is ``<b_i, y - x> >= 0``.
+The set relations therefore map every point once to its dual image
+``(<b_1, x>, ..., <b_k, x>)`` and compare images coordinate by coordinate;
+on the component-wise cone the image is the point itself.  The images are
+exact rationals, so the criterion decides the order exactly, for pointed
+and non-pointed cones and for dependent dual rows alike.  Equal images
+always compare, so a point whose image occurs in the other set is settled
+by one lookup.  A cone with generators only compares pairs by ``leq``, one
+LP each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from operator import ge, le
+from typing import Iterable, Iterator, Optional
 
 from .exactlp import (
     ONE,
@@ -179,32 +191,72 @@ class Cone:
 
     # -- set order relations -------------------------------------------------
 
+    def _image(self, x: Vec) -> tuple:
+        """The dual image of x: x itself on the component-wise cone."""
+        if self.kind == COMPONENTWISE:
+            return x
+        return tuple(dot(b, x) for b in self.duals)
+
+    def uncovered(
+        self,
+        points: Iterable[Iterable],
+        others: Iterable[Iterable],
+        below: bool = False,
+        strict: bool = False,
+    ) -> Iterator[Vec]:
+        """Each point of ``points``, in order, that lies outside
+        ``others + C`` (outside ``others - C`` when ``below``), i.e. above
+        (below) no point of ``others``.  With ``strict`` (meant for pointed
+        cones, where equal images are equal points) a point is not covered
+        by an equal one.  Every point is coerced and checked for the cone's
+        dimension before the first one is yielded."""
+        pts = [vec(x) for x in points]
+        oth = [vec(y) for y in others]
+        for x in pts + oth:
+            self._check_dim(x)
+        if self.duals is None:
+            for x in pts:
+                if not any(
+                    not (strict and y == x)
+                    and (self.leq(x, y) if below else self.leq(y, x))
+                    for y in oth
+                ):
+                    yield x
+            return
+        images = dict.fromkeys(map(self._image, oth))
+        covers = le if below else ge  # image of x against image of y
+        for x in pts:
+            ix = self._image(x)
+            if strict:
+                rivals = [iy for iy in images if iy != ix]
+            elif ix in images:
+                continue
+            else:
+                rivals = images
+            if not any(all(map(covers, ix, iy)) for iy in rivals):
+                yield x
+
     def set_precurly(self, a: Iterable[Iterable], b: Iterable[Iterable]) -> bool:
-        """A precurly B, i.e. B subset of A + C."""
-        av = [vec(x) for x in a]
-        bv = [vec(x) for x in b]
-        return all(any(self.leq(x, y) for x in av) for y in bv)
+        """A precurly B, i.e. B subset of A + C: every point of B is above
+        some point of A, decided on dual images where the cone has them."""
+        return next(self.uncovered(b, a), None) is None
 
     def set_curlyprec(self, a: Iterable[Iterable], b: Iterable[Iterable]) -> bool:
-        """A curlyprec B, i.e. A subset of B - C."""
-        av = [vec(x) for x in a]
-        bv = [vec(x) for x in b]
-        return all(any(self.leq(x, y) for y in bv) for x in av)
+        """A curlyprec B, i.e. A subset of B - C: every point of A is below
+        some point of B, decided on dual images where the cone has them."""
+        return next(self.uncovered(a, b, below=True), None) is None
 
 
 def minimal_elements(points: Iterable[Iterable], cone: Cone) -> list[Vec]:
     """Elements not strictly dominated by another element of the set.
 
     Requires a pointed cone so that strict dominance (leq and not equal)
-    is unambiguous.
+    is unambiguous; its dual image map is one-to-one, so distinct points
+    have distinct images.
     """
     from .errors import UnsupportedConeError
 
     if not cone.is_pointed():
         raise UnsupportedConeError("minimal elements need a pointed cone")
     pts = list(dict.fromkeys(vec(x) for x in points))
-    return [
-        p
-        for p in pts
-        if not any(q != p and cone.leq(q, p) for q in pts)
-    ]
+    return list(cone.uncovered(pts, pts, strict=True))

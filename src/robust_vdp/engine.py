@@ -152,22 +152,27 @@ class Strategy:
 # strategy enumeration
 
 
+def _over_budget(
+    what: str, problem: ControlledProblem, count: int, t: int, node: str, state: str
+) -> DeskScaleExceededError:
+    return DeskScaleExceededError(
+        f"{what} exceeds the budget of {problem.budget} "
+        f"({count} at t={t}, node={node!r}, state={state!r})"
+    )
+
+
 def _count_strategies(problem: ControlledProblem, t: int, node: str, state: str) -> int:
     @lru_cache(maxsize=None)
     def count(tt, nn, ss):
         if tt == problem.tree.horizon:
             return 1
-        total = 0
-        for a in problem.controls_at(tt, ss):
-            prod = 1
-            for c in problem.tree.children[nn]:
-                prod *= count(tt + 1, c, problem.next_state(tt, ss, a, c))
-                if prod > problem.budget:
-                    return problem.budget + 1
-            total += prod
-            if total > problem.budget:
-                return problem.budget + 1
-        return total
+        return sum(
+            prod(
+                count(tt + 1, c, problem.next_state(tt, ss, a, c))
+                for c in problem.tree.children[nn]
+            )
+            for a in problem.controls_at(tt, ss)
+        )
     return count(t, node, state)
 
 
@@ -181,10 +186,9 @@ def enumerate_strategies(
     deterministic depth-first order."""
     node = node if node is not None else problem.tree.root
     state = state if state is not None else problem.initial_state
-    if _count_strategies(problem, t, node, state) > problem.budget:
-        raise DeskScaleExceededError(
-            f"strategy enumeration exceeds the budget of {problem.budget}"
-        )
+    count = _count_strategies(problem, t, node, state)
+    if count > problem.budget:
+        raise _over_budget("strategy enumeration", problem, count, t, node, state)
 
     def recurse(tt, nn, ss) -> list[dict]:
         if tt == problem.tree.horizon:
@@ -249,9 +253,9 @@ def _selections(
         ]
         total += prod(len(s) for s in child_sets)
         if total > problem.budget:
-            raise DeskScaleExceededError(
-                f"selector product at t={t}, node={node!r} exceeds the "
-                f"budget of {problem.budget}"
+            raise _over_budget(
+                f"selector product at t={t}, node={node!r}", problem,
+                total, t, node, state,
             )
         yield from product(*child_sets)
 
@@ -279,8 +283,8 @@ def _profile_level(
             for a in problem.controls_at(t, state)
         )
         if count > problem.budget:
-            raise DeskScaleExceededError(
-                f"strategy enumeration exceeds the budget of {problem.budget}"
+            raise _over_budget(
+                "strategy enumeration", problem, count, t, node, state
             )
         rows = [m.transition[node] for m in models]
         out[(node, state)] = (count, tuple(dict.fromkeys(
@@ -547,14 +551,13 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
         n_checked = 0
         for key in problem.reachable[t]:
             target = gens[t][key]
-            for x in rec_perturbed[key]:
-                n_checked += 1
-                if not any(problem.cone.leq(g, x) for g in target):
-                    ok = False
-                    witnesses.append(
-                        f"recursion value {x} escapes the upper image at "
-                        f"t={t}, (node, state)={key}"
-                    )
+            n_checked += len(rec_perturbed[key])
+            for x in problem.cone.uncovered(rec_perturbed[key], target):
+                ok = False
+                witnesses.append(
+                    f"recursion value {x} escapes the upper image at "
+                    f"t={t}, (node, state)={key}"
+                )
             if rect:
                 mins = set(minimal_elements(rec_pure[key], problem.cone))
                 if mins != set(target):

@@ -147,9 +147,14 @@ def _parse_tree(doc, path: str) -> ScenarioTree:
     ):
         raise InstanceError(f"{path}/labels", "expected an object of names")
     known = {n for level in levels for n in level}
+    terminal = set(levels[-1]) if len(levels) > 1 else set()
     for n, kids in children.items():
         if n not in known:
             raise InstanceError(f"{path}/children/{n}", "dangling node reference")
+        if n in terminal:
+            raise InstanceError(
+                f"{path}/children/{n}", f"terminal node {n!r} takes no children entry"
+            )
         for c in kids:
             if c not in known:
                 raise InstanceError(

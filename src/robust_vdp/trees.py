@@ -56,6 +56,9 @@ class ScenarioTree:
                     claimed.add(c)
         if claimed != seen - set(self.levels[0]):
             raise ValueError("every non-root node needs exactly one parent")
+        for n in self.levels[self.horizon]:
+            if n in self.children:
+                raise ValueError(f"terminal node {n!r} takes no children entry")
 
     @property
     def root(self) -> str:

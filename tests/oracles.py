@@ -20,16 +20,25 @@ from robust_vdp import (
     RectReport,
     ScenarioTree,
     SupNotExistsError,
+    UnsupportedConeError,
     cond_expect,
     enumerate_strategies,
+    is_m_rectangular,
     leq_t,
     one_step_R,
     prune_pareto,
     vsup,
     vsup_adapted,
 )
-from robust_vdp.engine import _selections, _sup_or_raise
-from robust_vdp.exactlp import dot, lp
+from robust_vdp import engine
+from robust_vdp.engine import (
+    UpperImageReport,
+    UpperImageRow,
+    _cone_perturbations,
+    _selections,
+    _sup_or_raise,
+)
+from robust_vdp.exactlp import dot, lp, vec
 from robust_vdp.rectangularity import RectCheckRecord
 from robust_vdp.trees import expect
 
@@ -154,6 +163,78 @@ def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> di
             for combo in _selections(problem, t, node, state, next_sets)
         ))
     return out
+
+
+def pairwise_set_precurly(cone: Cone, a, b) -> bool:
+    """B subset of A + C, one ``leq`` per compared pair."""
+    av = [vec(x) for x in a]
+    bv = [vec(x) for x in b]
+    return all(any(cone.leq(x, y) for x in av) for y in bv)
+
+
+def pairwise_set_curlyprec(cone: Cone, a, b) -> bool:
+    """A subset of B - C, one ``leq`` per compared pair."""
+    av = [vec(x) for x in a]
+    bv = [vec(x) for x in b]
+    return all(any(cone.leq(x, y) for y in bv) for x in av)
+
+
+def pairwise_minimal_elements(points, cone: Cone) -> list:
+    """The points, deduped in order, that no other point precedes, one
+    ``leq`` per compared pair; a drop-in for ``cones.minimal_elements``."""
+    if not cone.is_pointed():
+        raise UnsupportedConeError("minimal elements need a pointed cone")
+    pts = list(dict.fromkeys(vec(x) for x in points))
+    return [p for p in pts if not any(q != p and cone.leq(q, p) for q in pts)]
+
+
+def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
+    """``check_upper_image_recursion`` with one ``leq`` per recursion value
+    and generator; reads ``engine.upper_image`` and ``engine.minimal_elements``
+    through the module, so a test can patch either."""
+    engine._require_componentwise(problem)
+    tree = problem.tree
+    rect = is_m_rectangular(problem.family)
+    gens = {t: engine.upper_image(problem, t) for t in range(tree.horizon + 1)}
+    rows = []
+    for t in range(tree.horizon):
+        dim = len(next(iter(gens[t + 1].values()))[0])
+        perturbed = {
+            key: tuple(dict.fromkeys(
+                tuple(x + p for x, p in zip(g, pert))
+                for g in vals
+                for pert in _cone_perturbations(dim)
+            ))
+            for key, vals in gens[t + 1].items()
+        }
+        rec_perturbed = engine._one_step_sets(problem, t, perturbed)
+        rec_pure = engine._one_step_sets(problem, t, gens[t + 1]) if rect else None
+        ok = True
+        eq = True if rect else None
+        witnesses = []
+        n_checked = 0
+        for key in problem.reachable[t]:
+            target = gens[t][key]
+            for x in rec_perturbed[key]:
+                n_checked += 1
+                if not any(problem.cone.leq(g, x) for g in target):
+                    ok = False
+                    witnesses.append(
+                        f"recursion value {x} escapes the upper image at "
+                        f"t={t}, (node, state)={key}"
+                    )
+            if rect:
+                mins = set(engine.minimal_elements(rec_pure[key], problem.cone))
+                if mins != set(target):
+                    eq = False
+                    witnesses.append(
+                        f"generator mismatch at t={t}, (node, state)={key}"
+                    )
+        rows.append(UpperImageRow(
+            time=t, inclusion_ok=ok, generator_equality=eq, n_checked=n_checked,
+            witnesses=tuple(witnesses),
+        ))
+    return UpperImageReport(rows=tuple(rows), m_rectangular=rect)
 
 
 def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:

@@ -229,7 +229,24 @@ def test_pareto_below_an_over_budget_root(capsys):
         capsys, "pareto", "--instance", INSTANCE, "--time", "0", "--budget", "1"
     )
     assert code == 3
-    assert err == "error: strategy enumeration exceeds the budget of 1\n"
+    assert err == (
+        "error: strategy enumeration exceeds the budget of 1 "
+        "(2 at t=0, node='n0', state='*')\n"
+    )
+
+
+def test_children_entry_on_a_leaf_is_an_input_error(tmp_path, capsys):
+    # a cycle from a time-2 leaf back to a time-1 node
+    doc = json.loads(path("binomial_tables.json").read_text())
+    doc["tree"]["children"]["uu"] = ["u"]
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    for argv in (["solve"], ["check-bellman"], ["pareto"], ["rect"]):
+        code, out, err = run(capsys, *argv, "--instance", str(instance))
+        assert (code, out, err) == (
+            2, "",
+            "error: /tree/children/uu: terminal node 'uu' takes no children entry\n",
+        )
 
 
 def _dynamics_doc() -> dict:

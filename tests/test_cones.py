@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,14 @@ from robust_vdp import Cone, UnsupportedConeError, minimal_elements, vsup
 from robust_vdp import cones
 from robust_vdp.cones import DimensionMismatchError, RepresentationError
 from robust_vdp.data import read_text
+from robust_vdp.exactlp import dot, vec
 from robust_vdp.instance import _parse_cone
+
+from .oracles import (
+    pairwise_minimal_elements,
+    pairwise_set_curlyprec,
+    pairwise_set_precurly,
+)
 
 F = Fraction
 
@@ -153,3 +161,63 @@ def test_dual_rank_computed_once_per_cone(roof, monkeypatch):
             minimal_elements([(k, 0, 0), (0, 0, 0)], cone)
             assert cone.is_pointed()
     assert ranks == [three_duals.duals, roof.duals]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:  # DimensionMismatchError, UnsupportedConeError
+        return type(e).__name__
+
+
+def test_set_order_equals_pairwise_leq(roof):
+    rng = random.Random(29)
+    halfspace = Cone.halfspace((1, -2, 3))
+    cases = [  # (cone, a vector that leaves every dual image unchanged)
+        (Cone.componentwise(3), None),
+        (Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]]), None),
+        (halfspace, (F(2), F(1), F(0))),
+        (Cone.from_duals([[1, 0, 2], [-1, 0, 2], [0, 1, 2], [0, -1, 2]]), None),
+        (roof, None),
+        (Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]), None),
+    ]
+
+    def point():
+        return tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(3))
+
+    seen = Counter()
+    for cone, flat in cases:
+        for _ in range(40):
+            a = [point() for _ in range(rng.randint(0, 5))]
+            b = [rng.choice(a) if a and rng.random() < 0.4 else point()
+                 for _ in range(rng.randint(0, 5))]
+            if flat is not None and a:
+                k = rng.choice((-2, -1, 1, 2))
+                b.append(tuple(x + k * z for x, z in zip(rng.choice(a), flat)))
+            for x, y in ((a, b), (b, a), (a, a)):
+                for mine, oracle in ((Cone.set_precurly, pairwise_set_precurly),
+                                     (Cone.set_curlyprec, pairwise_set_curlyprec)):
+                    got = _outcome(mine, cone, x, y)
+                    assert got == _outcome(oracle, cone, x, y)
+                    seen[got] += 1
+                # the half-space cone is not pointed: both raise
+                got = _outcome(minimal_elements, x + y, cone)
+                assert got == _outcome(pairwise_minimal_elements, x + y, cone)
+                seen["pruned"] += isinstance(got, list) and len(got) < len(set(x + y))
+            points = set(map(vec, a + b))
+            images = {tuple(dot(d, p) for d in cone.duals or ()) for p in points}
+            seen["shared"] += bool(set(map(vec, a)) & set(map(vec, b)))
+            seen["same_image"] += cone.duals is not None and len(images) < len(points)
+    assert seen[True] > 100 and seen[False] > 100 and seen["pruned"] > 50
+    assert seen["shared"] > 50 and seen["same_image"] > 20
+
+
+def test_set_order_checks_every_dimension():
+    c = Cone.componentwise(2)
+    for a, b in (([], [(1, 2, 3)]), ([(1, 2, 3)], []), ([(0, 0)], [(0, 0), (1,)])):
+        for relation in (c.set_precurly, c.set_curlyprec):
+            with pytest.raises(DimensionMismatchError):
+                relation(a, b)
+    with pytest.raises(DimensionMismatchError):
+        minimal_elements([(1, 2, 3)], c)
+    assert _outcome(pairwise_set_precurly, c, [], [(1, 2, 3)]) is False

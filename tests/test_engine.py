@@ -34,6 +34,8 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
 from .oracles import (
+    pairwise_minimal_elements,
+    pairwise_upper_image_report,
     per_model_one_step_sets,
     random_dynamics_problem,
     stepwise_pruned_backward,
@@ -134,8 +136,12 @@ def test_budget_exceeded_in_enumeration():
     )
     with pytest.raises(DeskScaleExceededError):
         enumerate_strategies(problem)
-    with pytest.raises(DeskScaleExceededError):
+    with pytest.raises(DeskScaleExceededError) as exc:
         backward_value(problem)
+    assert str(exc.value) == (
+        "selector product at t=0, node='n0' exceeds the budget of 3 "
+        "(4 at t=0, node='n0', state='s0')"
+    )
 
 
 def test_budget_counts_strategies_not_profiles():
@@ -156,7 +162,10 @@ def test_budget_counts_strategies_not_profiles():
     }
     with pytest.raises(DeskScaleExceededError) as exc:
         value_sets(problem, 0)
-    assert str(exc.value) == "strategy enumeration exceeds the budget of 3"
+    assert str(exc.value) == (
+        "strategy enumeration exceeds the budget of 3 "
+        "(8 at t=0, node='n0', state='s0')"
+    )
 
 
 def test_value_sets_builds_no_level_before_t(binomial):
@@ -414,6 +423,43 @@ def test_upper_image_recursion_inclusion_holds_without_rectangularity(independen
     report = check_upper_image_recursion(independent)
     assert not report.m_rectangular
     assert report.inclusion_ok
+
+
+def test_upper_image_report_equals_pairwise_leq(monkeypatch):
+    rng = random.Random(131)
+    problems = [
+        parse_document(read_text(name)).problem
+        for name in ("binomial_tables.json", "binomial_tables_independent.json",
+                     "binomial_marginals.json")
+    ]
+    problems += [
+        random_dynamics_problem(
+            rng, dim=rng.choice((2, 3)), max_controls=3, n_states=3,
+            rectangular=bool(i % 2),
+        )
+        for i in range(24)
+    ]
+    upper_image = engine.upper_image
+
+    def first_generators(problem, t):
+        # a deliberately short upper image, so that values escape it
+        return {key: vals[:1] for key, vals in upper_image(problem, t).items()}
+
+    witnessed = Counter()
+    for problem in problems:
+        problem = dataclasses.replace(problem, budget=500)
+        for image in (upper_image, first_generators):
+            with monkeypatch.context() as m:
+                m.setattr(engine, "upper_image", image)
+                got = _outcome(check_upper_image_recursion, problem)
+                m.setattr(engine, "minimal_elements", pairwise_minimal_elements)
+                assert got == _outcome(pairwise_upper_image_report, problem)
+            if not isinstance(got, tuple):
+                for row in got.rows:
+                    witnessed[image.__name__] += bool(row.witnesses)
+                    witnessed["mismatch"] += row.generator_equality is False
+    assert witnessed["upper_image"] == 0
+    assert witnessed["first_generators"] > 10 and witnessed["mismatch"] > 5
 
 
 def test_one_step_equals_per_model_expectations(monkeypatch):

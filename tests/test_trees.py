@@ -44,6 +44,9 @@ def test_tree_validation():
         ScenarioTree(horizon=1, levels=(("a",), ("b", "c")), children={"a": ("b",)})
     with pytest.raises(ValueError):  # non-terminal without children
         ScenarioTree(horizon=1, levels=(("a",), ("b",)), children={})
+    with pytest.raises(ValueError, match="terminal node 'b'"):  # leaf entry
+        ScenarioTree(horizon=1, levels=(("a",), ("b",)),
+                     children={"a": ("b",), "b": ()})
 
 
 def test_leaves_below():
