@@ -194,7 +194,9 @@ def cmd_vsup(args) -> int:
         _print(args, "", payload)
     else:
         lines = [f"status: {res.status}"]
-        if res.status == NOT_EXISTS:
+        if res.status == NOT_EXISTS and res.candidate is None:
+            lines.append("no upper bound")
+        elif res.status == NOT_EXISTS:
             lines.append(f"candidate: {fmt_vec(res.candidate)}")
             lines.append(f"undominated point: {fmt_vec(res.undominated)}")
         else:

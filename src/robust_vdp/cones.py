@@ -165,6 +165,18 @@ class Cone:
         """Rank of the dual rows, or None without a dual representation."""
         return mat_rank(self.duals) if self.duals is not None else None
 
+    @cached_property
+    def irredundant_duals(self) -> tuple[Vec, ...]:
+        """The dual rows minus each row that is a nonnegative combination of
+        the rows kept (one membership LP per row).  Dropping such a row
+        changes neither the cone nor the row space."""
+        kept = list(range(len(self.duals)))
+        for i, row in enumerate(self.duals):
+            rest = tuple(self.duals[j] for j in kept if j != i)
+            if Cone(self.dim, GENERATORS, generators=rest).contains(row):
+                kept.remove(i)
+        return tuple(self.duals[j] for j in kept)
+
     def is_pointed(self) -> bool:
         """True iff C cap (-C) = {0}."""
         return self._pointed

@@ -423,12 +423,14 @@ class BellmanReport:
 
 def check_bellman(problem: ControlledProblem) -> BellmanReport:
     """Build V, B and R once each, in that order, and evaluate all Bellman
-    inclusions and the set equality per time."""
+    inclusions and the set equality per time.  R at t is B at t wherever
+    V and B, the inputs of their one-step maps, agree at t+1."""
     tree = problem.tree
     cone = problem.cone
     v_all = {t: value_sets(problem, t) for t in range(tree.horizon + 1)}
     b_all = backward_value(problem)
-    r_all = {t: one_step_R(problem, t, v_all[t + 1]) for t in range(tree.horizon)}
+    r_all = {t: b_all[t] if v_all[t + 1] == b_all[t + 1]
+             else one_step_R(problem, t, v_all[t + 1]) for t in range(tree.horizon)}
     rows = []
     for t in range(tree.horizon):
         v_lvl, b_lvl, r_lvl = v_all[t], b_all[t], r_all[t]

@@ -20,7 +20,6 @@ from .exactlp import (
     lp,
     nullspace_basis,
     polyhedron_vertices,
-    rref,
     solve_linear,
     vadd,
     vec,
@@ -45,7 +44,8 @@ class SupResult:
     #: a point of the upper-bound intersection not dominated by the
     #: canonical candidate (non-existence case)
     undominated: Optional[Vec] = None
-    #: the canonical candidate used in the non-existence certificate
+    #: the canonical candidate used in the non-existence certificate; both
+    #: are None when the collection has no upper bound at all
     candidate: Optional[Vec] = None
 
 
@@ -65,19 +65,18 @@ def vsup_componentwise(xs: Iterable[Iterable]) -> Vec:
     return tuple(max(p[i] for p in pts) for i in range(len(pts[0])))
 
 
-def _pivot_solution(b_rows, rhs) -> Vec:
-    """Solve B v = rhs deterministically: pivot on the first linearly
-    independent columns of B, set the remaining coordinates to zero."""
-    d = len(b_rows[0])
-    _, pivot_cols = rref(b_rows)
-    sub = [[row[c] for c in pivot_cols] for row in b_rows]
-    partial = solve_linear(sub, rhs)
-    if partial is None:
-        raise ValueError("inconsistent system in pivot solution")
-    v = [ZERO] * d
-    for c, x in zip(pivot_cols, partial):
-        v[c] = x
-    return tuple(v)
+def _dual_solution(cone: Cone, b_rows, pts) -> Optional[SupResult]:
+    """The suprema as the solutions of <b_i, V> = max_x <b_i, x> over
+    ``b_rows``, or None when that system is inconsistent.  The value has its
+    free coordinates zero; below full rank a null-space step gives another."""
+    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
+    v = solve_linear(b_rows, alpha) if b_rows else (ZERO,) * cone.dim
+    if v is None:
+        return None
+    if cone.dual_rank == cone.dim:
+        return SupResult(UNIQUE, value=v)
+    null = nullspace_basis(b_rows, cone.dim)
+    return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
 
 
 def vsup_dual_li(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
@@ -91,28 +90,22 @@ def vsup_dual_li(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     pts = _require_points(xs)
     if cone.duals is None:
         raise RepresentationError("vsup_dual_li needs a dual representation")
-    b_rows = cone.duals
-    k = len(b_rows)
-    d = cone.dim
-    if cone.dual_rank != k:
+    if cone.dual_rank != len(cone.duals):
         raise DualNotLIError("dual generators are linearly dependent")
-    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
-    v = _pivot_solution(b_rows, alpha)
-    if k == d:
-        return SupResult(UNIQUE, value=v)
-    null = nullspace_basis(b_rows, d)
-    return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
+    return _dual_solution(cone, cone.duals, pts)
 
 
-def _lex_minimal_point(b_rows, alpha) -> Vec:
+def _lex_minimal_point(b_rows, alpha) -> Optional[Vec]:
     """A cone-order minimal element of {y : By >= alpha}, found by
-    lexicographically minimising <b_1, y>, <b_2, y>, ... in turn."""
+    lexicographically minimising <b_1, y>, <b_2, y>, ... in turn, or None
+    when that polyhedron is empty (only the first LP can be infeasible)."""
     a_eq: list[Vec] = []
     b_eq: list = []
     y = None
     for b in b_rows:
         res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha), a_eq=a_eq, b_eq=b_eq)
-        assert res.status == "optimal"  # bounded below by alpha_i
+        if res.status != "optimal":
+            return None
         y = res.x
         a_eq.append(b)
         b_eq.append(res.value)
@@ -124,61 +117,50 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
 
     The upper bounds of the collection form the polyhedron
     ``P = {y : <b_i, y> >= alpha_i}`` with ``alpha_i = max_x <b_i, x>``.
-    A supremum exists iff P equals V + C for some V, which happens iff the
-    linear system ``<b_i, V> = beta_i`` with ``beta_i = min_P <b_i, y>`` is
-    consistent: any supremum lies in P and dominates all of P, forcing it
-    to attain every one of these minima.
+    Over the irredundant rows B (``Cone.irredundant_duals``, which leave P
+    and C unchanged) a supremum exists iff ``B V = alpha`` is consistent,
+    and its solutions are exactly the suprema.  (<=) A solution lies in P
+    and below every point of P.  (=>) A supremum V has ``B V = beta >=
+    alpha``.  If ``beta_i > alpha_i``, b_i is no nonnegative combination of
+    the other rows, so Farkas' lemma gives a z with ``<b_j, z> >= 0`` for
+    all j != i and ``<b_i, z> < 0``; then V + eps z is an upper bound that
+    is not above V.  Without a supremum the result certifies it with the
+    lexicographically minimal point of P and a point of P that point does
+    not precede; an empty P (a cone without interior) has no upper bound.
     """
     pts = _require_points(xs)
     if cone.duals is None:
         raise RepresentationError(
             "vsup_general needs a dual representation of the cone"
         )
-    d = cone.dim
     b_rows = cone.duals
-    if d > MAX_GENERAL_DIM or len(b_rows) > MAX_GENERAL_DUALS:
+    if cone.dim > MAX_GENERAL_DIM or len(b_rows) > MAX_GENERAL_DUALS:
         raise DeskScaleExceededError(
             f"vsup_general is limited to dimension <= {MAX_GENERAL_DIM} "
             f"and <= {MAX_GENERAL_DUALS} dual inequalities"
         )
+    found = _dual_solution(cone, cone.irredundant_duals, pts)
+    if found is not None:
+        return found
     alpha = [max(dot(b, p) for p in pts) for b in b_rows]
-    beta = []
-    argmins = []
-    for b in b_rows:
-        res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha))
-        assert res.status == "optimal"  # bounded below by alpha_i
-        beta.append(res.value)
-        argmins.append(res.x)
-
-    v = solve_linear(b_rows, beta)
-    if v is None:
-        # no supremum: certify with a point of P the candidate cannot dominate
-        candidate = _lex_minimal_point(b_rows, alpha)
-        witness = None
-        for vert in polyhedron_vertices(b_rows, alpha):
-            if any(dot(b, vert) < dot(b, candidate) for b in b_rows):
-                witness = vert
-                break
-        if witness is None:  # polyhedron without vertices (lineality)
-            witness = next(
-                y
-                for b, y in zip(b_rows, argmins)
-                if dot(b, y) < dot(b, candidate)
-            )
-        return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
-
-    v = _pivot_solution(b_rows, beta)
-    if cone.dual_rank == d:
-        return SupResult(UNIQUE, value=v)
-    null = nullspace_basis(b_rows, d)
-    return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
+    candidate = _lex_minimal_point(b_rows, alpha)
+    if candidate is None:
+        return SupResult(NOT_EXISTS)
+    witness = next((
+        vert for vert in polyhedron_vertices(b_rows, alpha)
+        if any(dot(b, vert) < dot(b, candidate) for b in b_rows)
+    ), None)
+    if witness is None:  # polyhedron without vertices (lineality)
+        argmins = ((b, lp(list(b), a_ge=list(b_rows), b_ge=alpha).x) for b in b_rows)
+        witness = next(y for b, y in argmins if dot(b, y) < dot(b, candidate))
+    return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
 
 
 def vsup(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
-    """Dispatch to the cheapest applicable supremum routine."""
-    pts = _require_points(xs)
+    """Dispatch to the cheapest applicable supremum routine (which coerces
+    and checks the points)."""
     if cone.kind == COMPONENTWISE:
-        return SupResult(UNIQUE, value=vsup_componentwise(pts))
+        return SupResult(UNIQUE, value=vsup_componentwise(xs))
     if cone.duals is not None and cone.dual_rank == len(cone.duals):
-        return vsup_dual_li(cone, pts)
-    return vsup_general(cone, pts)
+        return vsup_dual_li(cone, xs)
+    return vsup_general(cone, xs)

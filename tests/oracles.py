@@ -11,7 +11,9 @@ from fractions import Fraction
 from itertools import product
 
 from robust_vdp import (
+    NON_UNIQUE,
     NOT_EXISTS,
+    UNIQUE,
     Cone,
     ControlledProblem,
     DynamicsSpec,
@@ -20,6 +22,7 @@ from robust_vdp import (
     RectReport,
     ScenarioTree,
     SupNotExistsError,
+    SupResult,
     UnsupportedConeError,
     cond_expect,
     enumerate_strategies,
@@ -38,7 +41,16 @@ from robust_vdp.engine import (
     _selections,
     _sup_or_raise,
 )
-from robust_vdp.exactlp import dot, lp, vec
+from robust_vdp.exactlp import (
+    dot,
+    lp,
+    nullspace_basis,
+    polyhedron_vertices,
+    rref,
+    solve_linear,
+    vadd,
+    vec,
+)
 from robust_vdp.rectangularity import RectCheckRecord
 from robust_vdp.trees import expect
 
@@ -163,6 +175,59 @@ def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> di
             for combo in _selections(problem, t, node, state, next_sets)
         ))
     return out
+
+
+def _beta_pivot_solution(b_rows, rhs):
+    """Solve B v = rhs on the first linearly independent columns of B, with
+    the remaining coordinates zero."""
+    _, pivot_cols = rref(b_rows)
+    partial = solve_linear([[row[c] for c in pivot_cols] for row in b_rows], rhs)
+    v = [Fraction(0)] * len(b_rows[0])
+    for c, x in zip(pivot_cols, partial):
+        v[c] = x
+    return tuple(v)
+
+
+def beta_lp_vsup_general(cone: Cone, xs) -> SupResult:
+    """``vsup_general`` deciding existence by one LP per dual row: a
+    supremum exists iff ``B V = beta`` is consistent, with
+    ``beta_i = min {<b_i, y> : By >= alpha}``.  Its LPs assert optimality,
+    so it raises ``AssertionError`` when the collection has no upper bound.
+    """
+    pts = [vec(x) for x in xs]
+    b_rows = cone.duals
+    d = cone.dim
+    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
+    beta = []
+    argmins = []
+    for b in b_rows:
+        res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha))
+        assert res.status == "optimal"  # bounded below by alpha_i
+        beta.append(res.value)
+        argmins.append(res.x)
+    if solve_linear(b_rows, beta) is None:
+        a_eq, b_eq = [], []
+        for b in b_rows:  # the lexicographically minimal point of P
+            res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha), a_eq=a_eq, b_eq=b_eq)
+            assert res.status == "optimal"
+            candidate = res.x
+            a_eq.append(b)
+            b_eq.append(res.value)
+        witness = None
+        for vert in polyhedron_vertices(b_rows, alpha):
+            if any(dot(b, vert) < dot(b, candidate) for b in b_rows):
+                witness = vert
+                break
+        if witness is None:  # polyhedron without vertices (lineality)
+            witness = next(
+                y for b, y in zip(b_rows, argmins) if dot(b, y) < dot(b, candidate)
+            )
+        return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
+    v = _beta_pivot_solution(b_rows, beta)
+    if cone.dual_rank == d:
+        return SupResult(UNIQUE, value=v)
+    null = nullspace_basis(b_rows, d)
+    return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
 
 
 def pairwise_set_precurly(cone: Cone, a, b) -> bool:

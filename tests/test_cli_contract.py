@@ -203,3 +203,34 @@ def test_mutated_documents_keep_the_exit_code_contract(data):
         instance = Path(tmp) / "instance.json"
         instance.write_text(json.dumps(doc), encoding="utf-8")
         run_main(argv + ["--instance", str(instance)])
+
+
+# ---------------------------------------------------------------------------
+# a cone without interior: a collection may have no upper bound at all
+
+
+LINE_CONE = {"kind": "dual", "b": [[1, 0], [-1, 0]]}  # C is the line x_1 = 0
+
+
+def test_vsup_without_upper_bound_is_exit_3(tmp_path, capsys):
+    cone, points = tmp_path / "cone.json", tmp_path / "points.json"
+    cone.write_text(json.dumps(LINE_CONE), encoding="utf-8")
+    points.write_text("[[0, 0], [1, 0]]", encoding="utf-8")
+    argv = ["vsup", "--cone", str(cone), "--points", str(points)]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("status: not_exists\nno upper bound\n", "")
+    assert main(argv + ["--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out) == {"status": "not_exists"}
+
+
+def test_solve_without_upper_bound_is_exit_3(tmp_path, capsys):
+    doc = json.loads(Path(INSTANCES[1]).read_text(encoding="utf-8"))
+    doc["cone"] = LINE_CONE
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", "--instance", str(instance)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: supremum does not exist at t=0, node='n0', strategy\n"
+    )

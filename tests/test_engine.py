@@ -382,15 +382,35 @@ def test_compute_results_builds_each_family_once(binomial, monkeypatch):
         return _fn(problem, t, below)
 
     monkeypatch.setattr(engine, "_profile_level", counted_level)
-    compute_results(binomial, prune=True)
+    report = compute_results(binomial, prune=True).report
     horizon = binomial.tree.horizon
-    assert calls == {
+    # R at t is B at t wherever V and B agree at t+1
+    rebuilt = [t for t in range(horizon) if report.v[t + 1] != report.b[t + 1]]
+    assert calls == Counter({
         "reachable_states": 1,
         "value_sets": horizon + 1,
         "backward_value": 1,
-        "one_step_R": horizon,
-    }
+        "one_step_R": len(rebuilt),
+    })
     assert levels == {t: 1 for t in range(horizon + 1)}
+
+
+def test_one_step_R_built_only_where_v_and_b_differ(monkeypatch):
+    # horizon 3, non-rectangular: V and B differ at t=1 only
+    problem = random_dynamics_problem(random.Random(19), max_models=3)
+    assert problem.tree.horizon == 3 and not is_m_rectangular(problem.family)
+    built = []
+
+    def counted(problem, t, v_next, _fn=engine.one_step_R):
+        built.append(t)
+        return _fn(problem, t, v_next)
+
+    monkeypatch.setattr(engine, "one_step_R", counted)
+    report = check_bellman(problem)
+    assert built == [0]
+    assert report.r[0] != report.b[0]
+    for t in range(3):
+        assert report.r[t] == per_model_one_step_sets(problem, t, report.v[t + 1])
 
 
 def test_upper_image(binomial):

@@ -1,15 +1,19 @@
-"""Every layer the benchmark maps to a workload is still reached by one pass
-over that workload's catalog.
+"""One traced pass over each benchmark workload's catalog: every call's
+output matches the benchmark's reference digest and invariants, and every
+layer the benchmark maps to the workload is still reached.
 
 The benchmark's spans wrap functions by the module attribute their callers
 look them up through; a refactor that stops calling one leaves its layer
-metric empty.  This test makes that a tier-1 failure.  It reads the
-benchmark's ``gen.py`` and ``spans.py`` and writes only under ``tmp_path``.
+metric empty.  The digests are those of ``perfbench/refs.json``: exit code
+and canonical stdout.  This test makes both a tier-1 failure.  It reads the
+benchmark's ``gen.py``, ``spans.py``, ``checks.py`` and ``refs.json`` and
+writes only under ``tmp_path``.
 """
 
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -37,6 +41,8 @@ def _load(name: str):
 
 gen = _load("gen")
 spans = _load("spans")
+checks = _load("checks")
+REFS = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("workload", sorted(spans.MAPPED))
@@ -48,9 +54,14 @@ def test_one_traced_pass_records_every_mapped_layer(workload, tmp_path, monkeypa
     tracer.install()
     try:
         for call in (c for e in entries for c in e.calls):
-            with contextlib.redirect_stdout(io.StringIO()), \
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(io.StringIO()):
-                assert tracer.call(main, list(call.argv)) in (0, 1, 3)
+                code = tracer.call(main, list(call.argv))
+            stdout = out.getvalue()
+            digest = [code, checks.digest(stdout, "json" in call.argv)]
+            assert digest == REFS[workload][call.key], call.key
+            assert checks.invariants(call.check, call.cone, stdout) == [], call.key
     finally:
         tracer.uninstall()
     recorded = tracer.totals()[2] + tracer.counts

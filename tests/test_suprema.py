@@ -6,6 +6,7 @@ import pytest
 
 from robust_vdp import (
     Cone,
+    SupResult,
     DeskScaleExceededError,
     DualNotLIError,
     NON_UNIQUE,
@@ -16,11 +17,12 @@ from robust_vdp import (
     vsup_dual_li,
     vsup_general,
 )
+from robust_vdp import suprema
 from robust_vdp.data import read_text
-from robust_vdp.exactlp import dot, vadd
+from robust_vdp.exactlp import dot, feasible_point, lp_standard, vadd
 from robust_vdp.instance import _parse_cone
 
-from .oracles import is_supremum, is_upper_bound
+from .oracles import beta_lp_vsup_general, is_supremum, is_upper_bound
 
 F = Fraction
 
@@ -167,3 +169,119 @@ def test_idempotence_and_monotonicity(roof):
         # a singleton's supremum is the point
         single = vsup(roof, [pts[0]])
         assert single.value == pts[0]
+
+
+def oracle_cones(roof):
+    """Cones on the general route: dependent, redundant, repeated and zero
+    dual rows, pointed, non-pointed and non-solid."""
+    return {
+        "pyramid c=1": Cone.from_duals([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]),
+        "pyramid c=2": Cone.from_duals([(1, 0, 2), (-1, 0, 2), (0, 1, 2), (0, -1, 2)]),
+        "roof": roof,
+        "roof duals only": Cone.from_duals(roof.duals),
+        "redundant rows": Cone.from_duals([(1, 1), (1, 0), (2, 1), (0, 1)]),
+        "duplicate rows": Cone.from_duals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0)]),
+        "zero row": Cone.from_duals([(1, -1), (0, 0), (1, 1)]),
+        "zero-row cone": Cone.from_duals([(0, 0)]),
+        "dependent 2-d rows": Cone.from_duals([(1, 2), (2, 4)]),
+        "non-pointed wedge": Cone.from_duals([(1, 0, 0), (1, 1, 0), (0, 1, 0)]),
+        "pyramid times a line": Cone.from_duals(
+            [(1, 0, 1, 0), (-1, 0, 1, 0), (0, 1, 1, 0), (0, -1, 1, 0)]
+        ),
+        "non-solid plane": Cone.from_duals([(0, 0, 1), (0, 0, -1), (0, 1, 1)]),
+    }
+
+
+def random_point_set(rng, cone):
+    """A few random points, or a chain x, x + c_1, x + c_1 + c_2, ... along
+    directions c_i in the cone, whose supremum is its last point."""
+    pts = [rand_vec(rng, cone.dim)]
+    for _ in range(rng.randint(0, 3)):
+        step = rand_vec(rng, cone.dim)
+        if rng.random() < 0.5:
+            while not cone.contains(step):
+                step = rand_vec(rng, cone.dim)
+        pts.append(vadd(pts[-1], step))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_general_equals_beta_lp_oracle(roof):
+    rng = random.Random(41)
+    seen = set()
+    for name, cone in oracle_cones(roof).items():
+        for _ in range(12 if name.startswith("roof") else 30):
+            pts = random_point_set(rng, cone)
+            res = vsup_general(cone, pts)
+            alpha = [max(dot(b, p) for p in pts) for b in cone.duals]
+            if feasible_point(a_ge=list(cone.duals), b_ge=alpha) is None:
+                # no upper bound: the beta LPs of the oracle are infeasible
+                assert res == SupResult(NOT_EXISTS), (name, pts)
+                with pytest.raises(AssertionError):
+                    beta_lp_vsup_general(cone, pts)
+            else:
+                assert res == beta_lp_vsup_general(cone, pts), (name, pts)
+            seen.add((name, res.status, res.candidate is None))
+    statuses = {status for _, status, _ in seen}
+    assert statuses == {UNIQUE, NON_UNIQUE, NOT_EXISTS}
+    for name in ("pyramid c=1", "pyramid c=2", "roof", "roof duals only"):
+        assert (name, UNIQUE, True) in seen and (name, NOT_EXISTS, False) in seen
+    # P without vertices: the certificate takes a per-row minimiser
+    assert ("pyramid times a line", NOT_EXISTS, False) in seen
+    assert ("pyramid times a line", NON_UNIQUE, True) in seen
+    assert ("non-solid plane", NOT_EXISTS, True) in seen
+    assert ("zero-row cone", NON_UNIQUE, True) in seen
+
+
+def test_general_without_upper_bound():
+    # C is the line x_1 = 0: points that differ in x_1 have no upper bound
+    cone = Cone.from_duals([(1, 0), (-1, 0)])
+    assert vsup(cone, [(0, 0), (1, 0)]) == SupResult(NOT_EXISTS)
+    assert vsup(cone, [(0, 0), (0, 1)]).status == NON_UNIQUE
+
+
+def test_existing_supremum_makes_no_lp_call(roof, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = suprema.lp
+    monkeypatch.setattr(suprema, "lp", counted)
+    pts = [(0, 0, 0), (0, 0, 2), (F(1, 4), 0, 1)]
+    assert vsup(roof, pts).status == UNIQUE
+    wedge = Cone.from_duals([(1, 0, 0), (1, 1, 0), (0, 1, 0)])
+    assert vsup(wedge, [(0, 0, 0), (1, 0, 5)]).status == NON_UNIQUE
+    assert calls == []
+    assert vsup(roof, [(0, 0, 0), (F(1, 4), F(-1, 4), 0)]).status == NOT_EXISTS
+    assert calls  # only a non-existence certificate solves LPs
+
+
+def _in_generated_cone(rows, x) -> bool:
+    """x is a nonnegative combination of rows (the empty one is zero)."""
+    if not rows:
+        return all(c == 0 for c in x)
+    columns = [[row[i] for row in rows] for i in range(len(x))]
+    return lp_standard(columns, list(x), [F(0)] * len(rows)).status == "optimal"
+
+
+def test_irredundant_duals_once_per_cone(roof, monkeypatch):
+    for cone in oracle_cones(roof).values():
+        kept = list(cone.irredundant_duals)
+        dropped = list(cone.duals)
+        for row in kept:
+            dropped.remove(row)
+            assert not _in_generated_cone([r for r in kept if r is not row], row)
+        for row in dropped:
+            assert _in_generated_cone(kept, row)
+    membership = []
+    real = Cone.contains
+    monkeypatch.setattr(
+        Cone, "contains", lambda self, x: membership.append(x) or real(self, x)
+    )
+    cone = Cone.from_duals(roof.duals)
+    for k in range(3):
+        vsup(cone, [(k, 0, 1), (0, k, 2)])
+        vsup(cone, [(0, 0, 0), (F(1, 4), F(-1, 4), 0)])
+    assert membership == list(roof.duals)
