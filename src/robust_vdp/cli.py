@@ -155,6 +155,12 @@ def cmd_rect(args) -> int:
             )
             for i, entry in enumerate(doc)
         ]
+        leaves = set(tree.nodes_at(tree.horizon))
+        for i, x in enumerate(vectors):
+            if set(x.values) != leaves:
+                raise InstanceError(
+                    f"/{i}", f"expected exactly the time-{tree.horizon} nodes as keys"
+                )
     else:
         vectors = random_terminal_vectors(tree, dim, args.random, seed)
     report = check_preorder_rectangularity(cone, tree, family, vectors, seed=seed)
@@ -174,7 +180,9 @@ def cmd_rect(args) -> int:
             + ("holds" if report.reverse_ok else "FAILS"),
         ]
         _print(args, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_RELATION_FAILED
+    if not ok:
+        return EXIT_RELATION_FAILED
+    return EXIT_SCALE_OR_SUP if report.without_supremum else EXIT_OK
 
 
 def cmd_vsup(args) -> int:
@@ -182,8 +190,9 @@ def cmd_vsup(args) -> int:
     points_doc = _load_json(_read(args.points))
     if not isinstance(points_doc, list) or not points_doc:
         raise InstanceError(args.points, "expected a nonempty list of vectors")
-    points = [_vec_at(row, f"/{i}") for i, row in enumerate(points_doc)]
-    cone = _parse_cone(cone_doc, len(points[0]), "/")
+    dim = len(_vec_at(points_doc[0], "/0"))
+    points = [_vec_at(row, f"/{i}", dim) for i, row in enumerate(points_doc)]
+    cone = _parse_cone(cone_doc, dim, "/")
     res = vsup(cone, points)
     if args.format == "json":
         payload = {"status": res.status}
@@ -281,7 +290,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         DualNotLIError,
         RepresentationError,
         DimensionMismatchError,
-        ValueError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR

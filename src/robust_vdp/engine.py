@@ -421,6 +421,13 @@ class BellmanReport:
         return all(r.equality for r in self.rows)
 
 
+#: the set relations of a Bellman row, in witness order
+_RELATIONS = (
+    "b_in_v_plus", "v_in_b_minus", "r_in_v_plus", "v_in_r_minus",
+    "v_in_b_plus", "b_in_v_minus", "v_in_r_plus", "r_in_v_minus",
+)
+
+
 def check_bellman(problem: ControlledProblem) -> BellmanReport:
     """Build V, B and R once each, in that order, and evaluate all Bellman
     inclusions and the set equality per time.  R at t is B at t wherever
@@ -431,14 +438,14 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
     b_all = backward_value(problem)
     r_all = {t: b_all[t] if v_all[t + 1] == b_all[t + 1]
              else one_step_R(problem, t, v_all[t + 1]) for t in range(tree.horizon)}
+
+    def relations(x, y):
+        return cone.set_precurly(x, y), cone.set_curlyprec(x, y)
+
     rows = []
     for t in range(tree.horizon):
         v_lvl, b_lvl, r_lvl = v_all[t], b_all[t], r_all[t]
-        flags = dict(
-            b_in_v_plus=True, v_in_b_minus=True, r_in_v_plus=True,
-            v_in_r_minus=True, v_in_b_plus=True, b_in_v_minus=True,
-            v_in_r_plus=True, r_in_v_minus=True, equality=True,
-        )
+        flags = dict.fromkeys(_RELATIONS + ("equality",), True)
         witnesses: list[str] = []
 
         def record(name, ok, key):
@@ -448,14 +455,14 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
 
         for key in v_lvl:
             v, b, r = v_lvl[key], b_lvl[key], r_lvl[key]
-            record("b_in_v_plus", cone.set_precurly(v, b), key)
-            record("v_in_b_minus", cone.set_curlyprec(v, b), key)
-            record("r_in_v_plus", cone.set_precurly(v, r), key)
-            record("v_in_r_minus", cone.set_curlyprec(v, r), key)
-            record("v_in_b_plus", cone.set_precurly(b, v), key)
-            record("b_in_v_minus", cone.set_curlyprec(b, v), key)
-            record("v_in_r_plus", cone.set_precurly(r, v), key)
-            record("r_in_v_minus", cone.set_curlyprec(r, v), key)
+            weak_b, strong_b = relations(v, b), relations(b, v)
+            # where R is B, so are its relations to V
+            weak_r, strong_r = (
+                (weak_b, strong_b) if r_lvl is b_lvl
+                else (relations(v, r), relations(r, v))
+            )
+            for name, ok in zip(_RELATIONS, weak_b + weak_r + strong_b + strong_r):
+                record(name, ok, key)
             record(
                 "equality", set(v) == set(b) == set(r), key
             )

@@ -91,15 +91,13 @@ def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def solve_linear(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], n: int
 ) -> Optional[Vec]:
-    """One solution of A x = b, or None if the system is inconsistent.
+    """One solution of A x = b (A has n columns), or None if the system is
+    inconsistent.
 
     Free variables are set to zero, so the result is deterministic.
     """
-    if not a:
-        return ()
-    n = len(a[0])
     aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
     red, pivots = rref(aug)
     if n in pivots:  # pivot in the rhs column: inconsistent
@@ -293,7 +291,7 @@ def polyhedron_vertices(
         sub = [b_rows[i] for i in idx]
         if mat_rank(sub) < d:
             continue
-        y = solve_linear(sub, [alpha[i] for i in idx])
+        y = solve_linear(sub, [alpha[i] for i in idx], d)
         if y is None:
             continue
         if all(dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))):

@@ -17,17 +17,9 @@ from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
+from .errors import SupNotExistsError
 from .exactlp import Vec
-from .suprema import NOT_EXISTS
-from .trees import (
-    AdaptedVector,
-    Model,
-    ModelFamily,
-    ScenarioTree,
-    cond_expect,
-    leq_t,
-    vsup_adapted,
-)
+from .trees import AdaptedVector, Model, ModelFamily, ScenarioTree
 
 #: per non-terminal node, the candidate transition vectors
 MarginalSets = Mapping[str, Sequence[tuple[Fraction, ...]]]
@@ -92,17 +84,23 @@ class RectReport:
     def reverse_ok(self) -> bool:
         return all(r.reverse_holds for r in self.records if r.sup_failure is None)
 
+    @property
+    def without_supremum(self) -> int:
+        """Checks left undecided because a supremum does not exist."""
+        return sum(r.sup_failure is not None for r in self.records)
+
     def summary(self) -> str:
-        verdict = (
-            "no counterexample found"
-            if self.rectangular_on_sample
-            else "counterexample found"
-        )
-        seed_part = f", seed={self.seed}" if self.seed is not None else ""
-        return (
-            f"{verdict} among {self.n_vectors} test vectors"
-            f" ({len(self.records)} (vector, time) checks{seed_part})"
-        )
+        undecided = self.without_supremum
+        if self.records and undecided == len(self.records):
+            verdict = "no check decided"
+        elif self.rectangular_on_sample:
+            verdict = "no counterexample found"
+        else:
+            verdict = "counterexample found"
+        parts = [f"{len(self.records)} (vector, time) checks"]
+        parts += [f"{undecided} without a supremum"] if undecided else []
+        parts += [f"seed={self.seed}"] if self.seed is not None else []
+        return f"{verdict} among {self.n_vectors} test vectors ({', '.join(parts)})"
 
 
 def random_terminal_vectors(
@@ -125,6 +123,14 @@ def random_terminal_vectors(
     return out
 
 
+def _unless_no_sup(level, *args):
+    """level(*args), or None when one of its suprema does not exist."""
+    try:
+        return level(*args)
+    except SupNotExistsError:
+        return None
+
+
 def check_preorder_rectangularity(
     cone: Cone,
     tree: ScenarioTree,
@@ -136,47 +142,46 @@ def check_preorder_rectangularity(
 
     For every vector X and every time t with t+1 < horizon, compares the
     nested worst case sup_m E_t[sup_m E_{t+1}[X]] against the direct
-    worst case sup_m E_t[X].  The nested value always dominates the
-    direct one; rectangularity additionally requires the converse, and
-    for pointed cones equality.
+    worst case sup_m E_t[X]: the one-step set R and the forward set V of
+    the problem whose only strategy is X.  The nested value always
+    dominates the direct one; rectangularity additionally requires the
+    converse, and for pointed cones equality.
     """
+    # the engine imports is_m_rectangular from this module
+    from .engine import TABULATED, ControlledProblem, one_step_R, value_sets
+
     vectors = list(test_vectors)
     records = []
     pointed = cone.is_pointed()
-    models = family.models
     # a horizon-1 tree has no (vector, t) pair to check
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
-        # direct[t] = sup_m E_t[X], each model stepped down one level at a
-        # time; direct[t + 1] is also the inner supremum of the check at t
-        direct = {}
-        level = [x] * len(models)
-        for t in range(tree.horizon - 1, -1, -1):
-            level = [cond_expect(tree, m, e, t) for m, e in zip(models, level)]
-            # the check at 0 reads direct[0] only when direct[1] exists
-            if t > 0 or direct[1].status != NOT_EXISTS:
-                direct[t] = vsup_adapted(cone, level)
+        x.check_level(tree)
+        problem = ControlledProblem(
+            tree, family, cone, TABULATED, strategies={"X": x.values}
+        )
+        direct = [_unless_no_sup(value_sets, problem, t) for t in range(tree.horizon)]
         for t in range(tree.horizon - 1):
-            inner, failure = direct[t + 1], None
-            if inner.status == NOT_EXISTS:
-                failure = f"inner supremum at t={t + 1}"
-            else:
-                nested = vsup_adapted(
-                    cone, [cond_expect(tree, m, inner.value, t) for m in models]
-                )
-                if nested.status == NOT_EXISTS or direct[t].status == NOT_EXISTS:
-                    failure = f"outer supremum at t={t}"
-            if failure:
+            # the inner supremum of the check at t is direct[t + 1]
+            inner = direct[t + 1]
+            nested = inner and _unless_no_sup(one_step_R, problem, t, inner)
+            if not (nested and direct[t]):
+                failure = (f"inner supremum at t={t + 1}" if inner is None
+                           else f"outer supremum at t={t}")
                 records.append(
                     RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
                 )
                 continue
-            nv, dv = nested.value, direct[t].value
+            # each set holds the one value of the one strategy; the root first
+            pairs = [(nested[k][0], direct[t][k][0]) for k in problem.reachable[t]]
+            nv, dv = pairs[0]
             records.append(
                 RectCheckRecord(
-                    idx, t, leq_t(cone, nv, dv), leq_t(cone, dv, nv),
-                    (nv.values == dv.values) if pointed else None,
-                    nested_root=nv.at(tree.root) if t == 0 else None,
-                    direct_root=dv.at(tree.root) if t == 0 else None,
+                    idx, t,
+                    all(cone.leq(n, d) for n, d in pairs),
+                    all(cone.leq(d, n) for n, d in pairs),
+                    all(n == d for n, d in pairs) if pointed else None,
+                    nested_root=nv if t == 0 else None,
+                    direct_root=dv if t == 0 else None,
                 )
             )
     return RectReport(

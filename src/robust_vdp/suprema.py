@@ -14,7 +14,6 @@ from typing import Iterable, Optional
 from .cones import COMPONENTWISE, Cone, RepresentationError
 from .errors import DeskScaleExceededError, DualNotLIError
 from .exactlp import (
-    ZERO,
     Vec,
     dot,
     lp,
@@ -70,7 +69,7 @@ def _dual_solution(cone: Cone, b_rows, pts) -> Optional[SupResult]:
     ``b_rows``, or None when that system is inconsistent.  The value has its
     free coordinates zero; below full rank a null-space step gives another."""
     alpha = [max(dot(b, p) for p in pts) for b in b_rows]
-    v = solve_linear(b_rows, alpha) if b_rows else (ZERO,) * cone.dim
+    v = solve_linear(b_rows, alpha, cone.dim)
     if v is None:
         return None
     if cone.dual_rank == cone.dim:

@@ -181,7 +181,9 @@ def _beta_pivot_solution(b_rows, rhs):
     """Solve B v = rhs on the first linearly independent columns of B, with
     the remaining coordinates zero."""
     _, pivot_cols = rref(b_rows)
-    partial = solve_linear([[row[c] for c in pivot_cols] for row in b_rows], rhs)
+    partial = solve_linear(
+        [[row[c] for c in pivot_cols] for row in b_rows], rhs, len(pivot_cols)
+    )
     v = [Fraction(0)] * len(b_rows[0])
     for c, x in zip(pivot_cols, partial):
         v[c] = x
@@ -205,7 +207,7 @@ def beta_lp_vsup_general(cone: Cone, xs) -> SupResult:
         assert res.status == "optimal"  # bounded below by alpha_i
         beta.append(res.value)
         argmins.append(res.x)
-    if solve_linear(b_rows, beta) is None:
+    if solve_linear(b_rows, beta, d) is None:
         a_eq, b_eq = [], []
         for b in b_rows:  # the lexicographically minimal point of P
             res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha), a_eq=a_eq, b_eq=b_eq)

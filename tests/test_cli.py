@@ -218,6 +218,22 @@ def test_rect_test_vectors_with_float_literal(tmp_path, capsys):
     assert "floating-point literal" in err and "Traceback" not in err
 
 
+def test_rect_test_vector_missing_a_leaf(tmp_path, capsys):
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text('[{"uu": [1, 0], "ud": [0, 0], "du": [0, 0]}]')
+    code, _, err = run(capsys, "rect", "--instance", INSTANCE, "--test-vectors", str(vectors))
+    assert code == 2
+    assert err == "error: /0: expected exactly the time-2 nodes as keys\n"
+
+
+def test_vsup_points_of_two_dimensions(tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text("[[1, 2], [1, 2, 3]]")
+    code, _, err = run(capsys, "vsup", "--cone", HALFSPACE, "--points", str(points))
+    assert code == 2
+    assert err == "error: /1: expected dimension 2, got 3\n"
+
+
 def test_pareto_below_an_over_budget_root(capsys):
     # two root strategies, one from each time-1 point
     code, out, _ = run(
@@ -321,4 +337,7 @@ def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):
     for argv in (["solve", "--budget", "40"], ["check-bellman"], ["pareto"], ["rect"]):
         calls.clear()
         code, _, _ = run(capsys, *argv, "--instance", str(instance))
-        assert code in (0, 1) and len(calls) == 1
+        # rect also walks the one-strategy problem of each test vector
+        assert code in (0, 1) and len({id(p) for p in calls}) == len(calls)
+        assert [p.mode for p in calls].count(engine.DYNAMICS) == 1
+        assert len(calls) == (21 if argv == ["rect"] else 1)

@@ -234,3 +234,24 @@ def test_solve_without_upper_bound_is_exit_3(tmp_path, capsys):
     assert captured.err == (
         "error: supremum does not exist at t=0, node='n0', strategy\n"
     )
+
+
+def test_rect_without_upper_bound_is_exit_3(tmp_path, capsys):
+    doc = json.loads(Path(INSTANCES[0]).read_text(encoding="utf-8"))
+    doc["cone"] = LINE_CONE
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["rect", "--instance", str(instance), "--random", "3"]
+    summary = (
+        "no check decided among 3 test vectors"
+        " (3 (vector, time) checks, 3 without a supremum, seed=0)"
+    )
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "marginal-rectangular: yes\n"
+        f"empirical check: {summary}\n"
+        "reverse inclusion (always required): holds\n",
+        "",
+    )
+    assert main(argv + ["--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["summary"] == summary

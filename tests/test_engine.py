@@ -413,6 +413,28 @@ def test_one_step_R_built_only_where_v_and_b_differ(monkeypatch):
         assert report.r[t] == per_model_one_step_sets(problem, t, report.v[t + 1])
 
 
+@pytest.mark.parametrize("rectangular", [True, False])
+def test_set_relations_decided_once_where_r_is_b(rectangular, monkeypatch):
+    # non-rectangular: horizon 3, R is not B at t=0 only
+    problem = (
+        parse_document(read_text("binomial_tables.json")).problem if rectangular
+        else random_dynamics_problem(random.Random(19), max_models=3)
+    )
+    calls = Counter()
+    for name in ("set_precurly", "set_curlyprec"):
+        def counted(cone, a, b, _fn=getattr(Cone, name), _name=name):
+            calls[_name] += 1
+            return _fn(cone, a, b)
+        monkeypatch.setattr(Cone, name, counted)
+    report = check_bellman(problem)
+    horizon = problem.tree.horizon
+    shared = [report.r[t] is report.b[t] for t in range(horizon)]
+    assert all(shared) if rectangular else shared == [False] + [True] * (horizon - 1)
+    # per (node, state): V against B both ways, and against R where R is not B
+    each = sum(len(report.v[t]) * (2 if shared[t] else 4) for t in range(horizon))
+    assert calls == Counter(set_precurly=each, set_curlyprec=each)
+
+
 def test_upper_image(binomial):
     gens = upper_image(binomial, 0)[("n0", "*")]
     assert set(gens) == {(F(5), F(4)), (F(9, 2), F(5))}

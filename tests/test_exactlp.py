@@ -44,18 +44,22 @@ def test_rref_and_rank():
 
 def test_solve_linear_unique():
     a = [vec([2, 0]), vec([0, 3])]
-    assert solve_linear(a, vec([4, 9])) == (F(2), F(3))
+    assert solve_linear(a, vec([4, 9]), 2) == (F(2), F(3))
 
 
 def test_solve_linear_inconsistent():
     a = [vec([1, 1]), vec([2, 2])]
-    assert solve_linear(a, vec([1, 3])) is None
+    assert solve_linear(a, vec([1, 3]), 2) is None
 
 
 def test_solve_linear_underdetermined_sets_free_to_zero():
     a = [vec([1, 1, 0])]
-    x = solve_linear(a, vec([5]))
+    x = solve_linear(a, vec([5]), 3)
     assert x is not None and dot(a[0], x) == 5
+
+
+def test_solve_linear_without_rows():
+    assert solve_linear([], [], 3) == (F(0), F(0), F(0))
 
 
 def test_nullspace():

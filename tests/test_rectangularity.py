@@ -15,7 +15,7 @@ from robust_vdp import (
     random_terminal_vectors,
     rectangularize,
 )
-from robust_vdp import rectangularity, trees
+from robust_vdp import engine, trees
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
@@ -147,27 +147,35 @@ def test_level_walk_equals_nested_direct_definition():
     assert seen["sup failure"] and seen["no records"] and seen["counterexample"]
 
 
-def test_rect_check_steps_each_model_one_level_at_a_time(full_family, monkeypatch):
-    steps = []
-    walk = rectangularity.cond_expect
+def test_rect_check_is_v_against_one_step_r(full_family, monkeypatch):
+    calls = []
+    for name in ("value_sets", "one_step_R"):
+        level = getattr(engine, name)
 
-    def counted(tree, model, x, t):
-        steps.append(x.time - t)
-        return walk(tree, model, x, t)
+        def counted(problem, t, *rest, name=name, level=level):
+            calls.append((name, problem.strategies["X"], t))
+            return level(problem, t, *rest)
 
-    monkeypatch.setattr(rectangularity, "cond_expect", counted)
+        monkeypatch.setattr(engine, name, counted)
     tree = full_family.tree
     vectors = random_terminal_vectors(tree, 2, 5, seed=3)
     check_preorder_rectangularity(Cone.componentwise(2), tree, full_family, vectors)
-    # per vector and model: the H levels of the walk, and the H - 1 nested
-    # expectations of the inner suprema
-    models, horizon = len(full_family.models), tree.horizon
-    assert steps == [1] * 5 * models * (2 * horizon - 1)
+    # per vector: forward V at t < H, and R at t < H - 1 fed with V at t + 1
+    horizon = tree.horizon
+    assert calls == [
+        call
+        for x in vectors
+        for call in (
+            [("value_sets", x.values, t) for t in range(horizon)]
+            + [("one_step_R", x.values, t) for t in range(horizon - 1)]
+        )
+    ]
 
 
 def test_rect_check_on_a_horizon_one_tree(monkeypatch):
     calls = []
-    monkeypatch.setattr(trees, "vsup", lambda *args: calls.append(args))
+    for module in (engine, trees):
+        monkeypatch.setattr(module, "vsup", lambda *args: calls.append(args))
     tree = random_tree(random.Random(1), max_depth=1)
     family = random_family(random.Random(2), tree)
     vectors = random_terminal_vectors(tree, 2, 4, seed=5)
