@@ -541,14 +541,14 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
     tree = problem.tree
     rect = is_m_rectangular(problem.family)
     gens = {t: upper_image(problem, t) for t in range(tree.horizon + 1)}
+    perturbations = _cone_perturbations(problem.cone.dim)
     rows = []
     for t in range(tree.horizon):
-        dim = len(next(iter(gens[t + 1].values()))[0])
         perturbed: LevelSets = {
             key: tuple(dict.fromkeys(
                 tuple(x + p for x, p in zip(g, pert))
                 for g in vals
-                for pert in _cone_perturbations(dim)
+                for pert in perturbations
             ))
             for key, vals in gens[t + 1].items()
         }

@@ -73,6 +73,51 @@ def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
     return v
 
 
+def _rows_at(value, path: str, dim: Optional[int] = None) -> list[Vec]:
+    """A nonempty list of rational rows of dimension dim, else of the first
+    row's dimension."""
+    if not isinstance(value, list) or not value:
+        raise InstanceError(path, "expected a nonempty list of rows")
+    if dim is None:
+        dim = len(_vec_at(value[0], f"{path}/0"))
+    return [_vec_at(r, f"{path}/{i}", dim) for i, r in enumerate(value)]
+
+
+def _probability_row(value, tree: ScenarioTree, node: str, path: str) -> Vec:
+    """A transition row at a non-terminal node: one nonnegative rational per
+    child, summing to 1."""
+    if node not in tree.inner_nodes:
+        raise InstanceError(path, "dangling node reference")
+    p = _vec_at(value, path, len(tree.children[node]))
+    s = sum(p)
+    if s != 1:
+        raise InstanceError(path, f"sum {s} != 1")
+    if any(x < 0 for x in p):
+        raise InstanceError(path, "negative probability")
+    return p
+
+
+def _leaf_table(value, tree: ScenarioTree, dim: int, path: str) -> dict[str, Vec]:
+    """A vector of dimension dim on exactly the time-H nodes."""
+    if not isinstance(value, dict):
+        raise InstanceError(path, "expected leaf-to-loss object")
+    table = {leaf: _vec_at(v, f"{path}/{leaf}", dim) for leaf, v in value.items()}
+    if set(table) != set(tree.nodes_at(tree.horizon)):
+        raise InstanceError(
+            path, f"expected exactly the time-{tree.horizon} nodes as keys"
+        )
+    return table
+
+
+def _int_at(value, path: str, positive: bool = False) -> int:
+    """An integer, and at least 1 when positive; a boolean is no integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or positive and value < 1:
+        raise InstanceError(
+            path, "expected a positive integer" if positive else "expected an integer"
+        )
+    return value
+
+
 def _require(doc: Mapping, key: str, path: str, kind: Optional[type] = None):
     """doc[key], which must be present and, when kind is given, of that type
     (a boolean is no int)."""
@@ -102,25 +147,11 @@ def _parse_cone(doc, dim: int, path: str) -> Cone:
         if kind == HALFSPACE:
             return Cone.halfspace(_vec_at(_require(doc, "w", path), f"{path}/w", dim))
         if kind == DUAL:
-            rows = _require(doc, "b", path)
-            if not isinstance(rows, list) or not rows:
-                raise InstanceError(f"{path}/b", "expected a nonempty list of rows")
-            return Cone.from_duals(
-                [_vec_at(r, f"{path}/b/{i}", dim) for i, r in enumerate(rows)]
-            )
+            return Cone.from_duals(_rows_at(_require(doc, "b", path), f"{path}/b", dim))
         if kind == GENERATORS:
-            rows = _require(doc, "g", path)
-            if not isinstance(rows, list) or not rows:
-                raise InstanceError(f"{path}/g", "expected a nonempty list of rows")
-            duals = doc.get("b")
-            dual_rows = (
-                [_vec_at(r, f"{path}/b/{i}", dim) for i, r in enumerate(duals)]
-                if duals
-                else None
-            )
             return Cone.from_generators(
-                [_vec_at(r, f"{path}/g/{i}", dim) for i, r in enumerate(rows)],
-                duals=dual_rows,
+                _rows_at(_require(doc, "g", path), f"{path}/g", dim),
+                duals=_rows_at(doc["b"], f"{path}/b", dim) if "b" in doc else None,
             )
     except InstanceError:
         raise
@@ -171,18 +202,7 @@ def _parse_tree(doc, path: str) -> ScenarioTree:
 def _parse_transition_row(doc, tree: ScenarioTree, path: str) -> dict[str, Vec]:
     if not isinstance(doc, dict):
         raise InstanceError(path, "expected an object mapping nodes to rows")
-    out = {}
-    for n, row in doc.items():
-        if n not in tree.inner_nodes:
-            raise InstanceError(f"{path}/{n}", "dangling node reference")
-        p = _vec_at(row, f"{path}/{n}", len(tree.children[n]))
-        s = sum(p)
-        if s != 1:
-            raise InstanceError(f"{path}/{n}", f"sum {s} != 1")
-        if any(x < 0 for x in p):
-            raise InstanceError(f"{path}/{n}", "negative probability")
-        out[n] = p
-    return out
+    return {n: _probability_row(row, tree, n, f"{path}/{n}") for n, row in doc.items()}
 
 
 def _parse_models(doc, tree: ScenarioTree, path: str) -> ModelFamily:
@@ -200,14 +220,10 @@ def _parse_models(doc, tree: ScenarioTree, path: str) -> ModelFamily:
                 raise InstanceError(
                     f"{path}/marginals/{n}", "expected a nonempty list of rows"
                 )
-            cand = []
-            for i, row in enumerate(rows):
-                p = _vec_at(row, f"{path}/marginals/{n}/{i}")
-                s = sum(p)
-                if s != 1:
-                    raise InstanceError(f"{path}/marginals/{n}/{i}", f"sum {s} != 1")
-                cand.append(p)
-            parsed[n] = cand
+            parsed[n] = [
+                _probability_row(row, tree, n, f"{path}/marginals/{n}/{i}")
+                for i, row in enumerate(rows)
+            ]
         try:
             return rectangularize(tree, parsed)
         except ValueError as e:
@@ -233,7 +249,7 @@ def _parse_models(doc, tree: ScenarioTree, path: str) -> ModelFamily:
         raise InstanceError(f"{path}/explicit", str(e)) from e
 
 
-def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> ControlledProblem:
+def _parse_problem(doc, tree, family, cone, budget, path: str) -> ControlledProblem:
     if not isinstance(doc, dict):
         raise InstanceError(path, "problem must be an object")
     mode = _require(doc, "mode", path)
@@ -244,16 +260,10 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
                 raise InstanceError(
                     f"{path}/strategies", "expected a nonempty object"
                 )
-            strategies = {}
-            for name, table in strat_doc.items():
-                if not isinstance(table, dict):
-                    raise InstanceError(
-                        f"{path}/strategies/{name}", "expected leaf-to-loss object"
-                    )
-                strategies[name] = {
-                    leaf: _vec_at(v, f"{path}/strategies/{name}/{leaf}", dim)
-                    for leaf, v in table.items()
-                }
+            strategies = {
+                name: _leaf_table(table, tree, cone.dim, f"{path}/strategies/{name}")
+                for name, table in strat_doc.items()
+            }
             return ControlledProblem(
                 tree=tree, family=family, cone=cone, mode=TABULATED,
                 strategies=strategies, budget=budget,
@@ -288,7 +298,7 @@ def _parse_problem(doc, tree, family, cone, dim, budget, path: str) -> Controlle
             if not isinstance(loss_doc, dict) or not loss_doc:
                 raise InstanceError(f"{path}/loss", "expected a nonempty object")
             loss = {
-                s: _vec_at(v, f"{path}/loss/{s}", dim) for s, v in loss_doc.items()
+                s: _vec_at(v, f"{path}/loss/{s}", cone.dim) for s, v in loss_doc.items()
             }
             dyn = DynamicsSpec(
                 initial_state=initial, admissible=admissible,
@@ -319,33 +329,26 @@ def parse_document(text: str, budget: Optional[int] = None) -> ParsedInstance:
     version = doc.get("version", CURRENT_VERSION)
     if version != CURRENT_VERSION:
         raise InstanceError("/version", f"unsupported version {version!r}")
-    dim = _require(doc, "dimension", "/")
-    if not isinstance(dim, int) or dim < 1:
-        raise InstanceError("/dimension", "expected a positive integer")
+    dim = _int_at(_require(doc, "dimension", "/"), "/dimension", positive=True)
     opts_doc = doc.get("options", {})
     if not isinstance(opts_doc, dict):
         raise InstanceError("/options", "expected an object")
-    doc_budget = opts_doc.get("budget", DEFAULT_BUDGET)
-    if not isinstance(doc_budget, int) or doc_budget < 1:
-        raise InstanceError("/options/budget", "expected a positive integer")
+    doc_budget = _int_at(
+        opts_doc.get("budget", DEFAULT_BUDGET), "/options/budget", positive=True
+    )
     prune = opts_doc.get("prune", False)
     if not isinstance(prune, bool):
         raise InstanceError("/options/prune", "expected a boolean")
     seed = opts_doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InstanceError("/options/seed", "expected an integer")
+    if seed is not None:
+        _int_at(seed, "/options/seed")
     cone = _parse_cone(_require(doc, "cone", "/"), dim, "/cone")
     tree = _parse_tree(_require(doc, "tree", "/"), "/tree")
     family = _parse_models(_require(doc, "models", "/"), tree, "/models")
-    try:
-        problem = _parse_problem(
-            _require(doc, "problem", "/"), tree, family, cone, dim,
-            doc_budget if budget is None else budget, "/problem",
-        )
-    except InstanceError:
-        raise
-    except ValueError as e:
-        raise InstanceError("/problem", str(e)) from e
+    problem = _parse_problem(
+        _require(doc, "problem", "/"), tree, family, cone,
+        doc_budget if budget is None else budget, "/problem",
+    )
     return ParsedInstance(
         problem=problem, options=Options(budget=doc_budget, prune=prune, seed=seed)
     )
@@ -387,7 +390,7 @@ def serialize_instance(inst: ParsedInstance) -> str:
     tree = p.tree
     doc: dict[str, Any] = {
         "version": CURRENT_VERSION,
-        "dimension": _problem_dim(p),
+        "dimension": p.cone.dim,
         "cone": _serialize_cone(p.cone),
         "tree": {
             "horizon": tree.horizon,
@@ -435,10 +438,3 @@ def serialize_instance(inst: ParsedInstance) -> str:
     if inst.options.seed is not None:
         doc["options"]["seed"] = inst.options.seed
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def _problem_dim(p: ControlledProblem) -> int:
-    if p.mode == TABULATED:
-        table = next(iter(p.strategies.values()))
-        return len(next(iter(table.values())))
-    return len(next(iter(p.dynamics.loss.values())))

@@ -76,13 +76,19 @@ class RectReport:
     seed: Optional[int] = None
     pointed: bool = False
 
-    @property
-    def rectangular_on_sample(self) -> bool:
-        return all(r.forward_holds for r in self.records if r.sup_failure is None)
+    def _decided(self, holds) -> Optional[bool]:
+        """Whether every decided check holds; None when there are checks and
+        none was decided."""
+        decided = [holds(r) for r in self.records if r.sup_failure is None]
+        return None if self.records and not decided else all(decided)
 
     @property
-    def reverse_ok(self) -> bool:
-        return all(r.reverse_holds for r in self.records if r.sup_failure is None)
+    def rectangular_on_sample(self) -> Optional[bool]:
+        return self._decided(lambda r: r.forward_holds)
+
+    @property
+    def reverse_ok(self) -> Optional[bool]:
+        return self._decided(lambda r: r.reverse_holds)
 
     @property
     def without_supremum(self) -> int:
@@ -91,12 +97,11 @@ class RectReport:
 
     def summary(self) -> str:
         undecided = self.without_supremum
-        if self.records and undecided == len(self.records):
-            verdict = "no check decided"
-        elif self.rectangular_on_sample:
-            verdict = "no counterexample found"
-        else:
-            verdict = "counterexample found"
+        verdict = {
+            None: "no check decided",
+            True: "no counterexample found",
+            False: "counterexample found",
+        }[self.rectangular_on_sample]
         parts = [f"{len(self.records)} (vector, time) checks"]
         parts += [f"{undecided} without a supremum"] if undecided else []
         parts += [f"seed={self.seed}"] if self.seed is not None else []

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .engine import (
+    TAB_ROOT_STATE,
     TABULATED,
     BellmanReport,
     ControlledProblem,
@@ -106,7 +107,7 @@ def _expectation_tables(problem: ControlledProblem) -> list[str]:
 def _level_lines(tag: str, t: int, lvl: LevelSets) -> list[str]:
     lines = []
     for (node, state), vals in lvl.items():
-        key = node if state in ("*", node) else f"{node}|{state}"
+        key = node if state in (TAB_ROOT_STATE, node) else f"{node}|{state}"
         lines.append(_with_decimal(f"  {tag}{t}({key}) = {fmt_set(vals)}", vals))
     return lines
 

@@ -341,3 +341,91 @@ def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):
         assert code in (0, 1) and len({id(p) for p in calls}) == len(calls)
         assert [p.mode for p in calls].count(engine.DYNAMICS) == 1
         assert len(calls) == (21 if argv == ["rect"] else 1)
+
+
+# ---------------------------------------------------------------------------
+# each input shape has one reader: the same checks and paths everywhere
+
+
+def _solve_doc(tmp_path, capsys, name, edit):
+    doc = json.loads(path(name).read_text())
+    edit(doc)
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    return run(capsys, "solve", "--instance", str(instance))
+
+
+@pytest.mark.parametrize("node, i, row, message", [
+    ("zz", 0, ["1/2", "1/2"], "/models/marginals/zz/0: dangling node reference"),
+    ("uu", 0, ["1/2", "1/2"], "/models/marginals/uu/0: dangling node reference"),
+    ("u", 1, ["1/2", "1/4", "1/4"],
+     "/models/marginals/u/1: expected dimension 2, got 3"),
+    ("d", 0, ["-1/2", "3/2"], "/models/marginals/d/0: negative probability"),
+])
+def test_marginal_rows_are_checked_like_explicit_rows(
+    tmp_path, capsys, node, i, row, message
+):
+    def edit(doc):
+        doc["models"]["marginals"].setdefault(node, [row])[i] = row
+
+    code, out, err = _solve_doc(tmp_path, capsys, "binomial_marginals.json", edit)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("dimension", "/dimension: expected a positive integer"),
+    ("budget", "/options/budget: expected a positive integer"),
+    ("seed", "/options/seed: expected an integer"),
+])
+def test_a_boolean_is_no_integer(tmp_path, capsys, key, message):
+    def edit(doc):
+        (doc if key == "dimension" else doc["options"])[key] = True
+
+    code, out, err = _solve_doc(tmp_path, capsys, "binomial_tables.json", edit)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_tabulated_table_missing_a_leaf(tmp_path, capsys):
+    def edit(doc):
+        del doc["problem"]["strategies"]["psi"]["dd"]
+
+    code, out, err = _solve_doc(tmp_path, capsys, "binomial_tables.json", edit)
+    assert (code, out, err) == (2, "", (
+        "error: /problem/strategies/psi: expected exactly the time-2 nodes as keys\n"
+    ))
+
+
+def _vsup_files(tmp_path, cone_doc, points_doc):
+    cone, points = tmp_path / "cone.json", tmp_path / "points.json"
+    cone.write_text(json.dumps(cone_doc))
+    points.write_text(json.dumps(points_doc))
+    return str(cone), str(points)
+
+
+@pytest.mark.parametrize("b", [5, [], None, "x"])
+def test_generator_cone_duals_are_a_nonempty_list_of_rows(tmp_path, capsys, b):
+    cone, points = _vsup_files(
+        tmp_path, {"kind": "generators", "g": [[1, 0], [0, 1]], "b": b}, [[1, 2]]
+    )
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    assert (code, out, err) == (2, "", "error: /b: expected a nonempty list of rows\n")
+
+
+def test_side_file_paths_start_at_the_root(tmp_path, capsys):
+    cone, points = _vsup_files(tmp_path, {"kind": "dual", "b": [[1, 0, 0]]}, [[1, 2]])
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    assert (code, out, err) == (2, "", "error: /b/0: expected dimension 2, got 3\n")
+
+
+@pytest.mark.parametrize("cone_doc, points_doc, bad, message", [
+    ({"kind": "componentwise"}, {}, "points", "expected a nonempty list of rows"),
+    ([], [[1, 2]], "cone", "cone must be an object"),
+    ({"kind": "halfspace"}, [[1, 2]], "cone", "missing required field 'w'"),
+])
+def test_whole_side_file_errors_name_the_file(
+    tmp_path, capsys, cone_doc, points_doc, bad, message
+):
+    cone, points = _vsup_files(tmp_path, cone_doc, points_doc)
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    named = cone if bad == "cone" else points
+    assert (code, out, err) == (2, "", f"error: {named}: {message}\n")

@@ -18,6 +18,7 @@ from robust_vdp import (
 from robust_vdp import engine, trees
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
+from robust_vdp.rectangularity import RectCheckRecord, RectReport
 
 from .oracles import nested_direct_rect_check, random_family, random_tree
 
@@ -105,8 +106,18 @@ def test_preorder_check_detects_non_rectangular(independent_family):
         cone, tree, independent_family, vectors, seed=7
     )
     assert report.reverse_ok  # the easy direction always holds
-    assert not report.rectangular_on_sample
+    assert report.rectangular_on_sample is False
     assert "counterexample found" in report.summary()
+
+
+def test_report_without_a_decided_check_is_undecided():
+    undecided = RectCheckRecord(0, 0, None, None, None, sup_failure="inner supremum")
+    report = RectReport(records=(undecided,), n_vectors=1)
+    assert (report.rectangular_on_sample, report.reverse_ok) == (None, None)
+    assert report.summary().startswith("no check decided")
+    # no check at all, as on a horizon-1 tree, is no counterexample
+    empty = RectReport(records=(), n_vectors=1)
+    assert (empty.rectangular_on_sample, empty.reverse_ok) == (True, True)
 
 
 def test_random_terminal_vectors_deterministic(full_family):
@@ -143,7 +154,7 @@ def test_level_walk_equals_nested_direct_definition():
         assert report == _rect_outcome(nested_direct_rect_check, *args)
         seen["sup failure"] += any(r.sup_failure for r in report.records)
         seen["no records"] += not report.records
-        seen["counterexample"] += not report.rectangular_on_sample
+        seen["counterexample"] += report.rectangular_on_sample is False
     assert seen["sup failure"] and seen["no records"] and seen["counterexample"]
 
 
