@@ -157,6 +157,7 @@ def cmd_rect(args) -> int:
             AdaptedVector(tree.horizon, _leaf_table(entry, tree, cone.dim, f"/{i}"))
             for i, entry in enumerate(doc)
         ]
+        seed = None  # no vector was drawn
     else:
         vectors = random_terminal_vectors(tree, cone.dim, args.random, seed)
     report = check_preorder_rectangularity(cone, tree, family, vectors, seed=seed)

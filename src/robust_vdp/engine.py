@@ -16,7 +16,7 @@ faithful representation of the corresponding sets of adapted vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -44,9 +44,13 @@ TAB_ROOT_STATE = "*"
 #: value sets of one time level: (node, state) -> vectors
 LevelSets = dict[tuple[str, str], tuple[Vec, ...]]
 
-#: one forward level: (node, state) -> (number of strategies from there, their
-#: distinct profiles: expected terminal loss per model, by first strategy)
-ProfileLevel = dict[tuple[str, str], tuple[int, tuple[tuple[Vec, ...], ...]]]
+#: the moves of a (node, state): per admissible control, the control and the
+#: (child, next state) keys it reaches
+Moves = tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+
+#: one forward level: (node, state) -> the distinct profiles of the strategies
+#: from there (expected terminal loss per model), by first strategy
+ProfileLevel = dict[tuple[str, str], tuple[tuple[Vec, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,21 @@ class ControlledProblem:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @cached_property
-    def reachable(self) -> dict[int, list[tuple[str, str]]]:
+    def reachable(self) -> dict[int, dict[tuple[str, str], Moves]]:
         """``reachable_states`` of this problem, computed on first use."""
         return reachable_states(self)
+
+    @cached_property
+    def strategy_counts(self) -> dict[tuple[str, str], int]:
+        """The number of strategies from each reachable (node, state),
+        counted from the horizon up."""
+        counts: dict[tuple[str, str], int] = {}
+        for t in range(self.tree.horizon, -1, -1):
+            for key, moves in self.reachable[t].items():
+                counts[key] = sum(
+                    prod(counts[k] for k in keys) for _, keys in moves
+                ) if moves else 1
+        return counts
 
     @cached_property
     def profile_levels(self) -> dict[int, ProfileLevel]:
@@ -138,16 +154,6 @@ class ControlledProblem:
         return self.strategies[state][leaf]
 
 
-@dataclass(frozen=True)
-class Strategy:
-    start: tuple[int, str, str]  # (time, node, state)
-    choice: Mapping[tuple[str, str], str]  # (node, state) -> control
-
-    def describe(self) -> str:
-        t, node, state = self.start
-        return self.choice[(node, state)]
-
-
 # ---------------------------------------------------------------------------
 # strategy enumeration
 
@@ -161,52 +167,34 @@ def _over_budget(
     )
 
 
-def _count_strategies(problem: ControlledProblem, t: int, node: str, state: str) -> int:
-    @lru_cache(maxsize=None)
-    def count(tt, nn, ss):
-        if tt == problem.tree.horizon:
-            return 1
-        return sum(
-            prod(
-                count(tt + 1, c, problem.next_state(tt, ss, a, c))
-                for c in problem.tree.children[nn]
-            )
-            for a in problem.controls_at(tt, ss)
-        )
-    return count(t, node, state)
-
-
 def enumerate_strategies(
     problem: ControlledProblem,
     t: int = 0,
     node: Optional[str] = None,
     state: Optional[str] = None,
-) -> list[Strategy]:
-    """All adapted strategies from (t, node, state) to the horizon, in a
-    deterministic depth-first order."""
+) -> list[dict[tuple[str, str], str]]:
+    """All adapted strategies from a reachable (t, node, state) to the
+    horizon, each as its control per (node, state), in a deterministic
+    depth-first order."""
     node = node if node is not None else problem.tree.root
     state = state if state is not None else problem.initial_state
-    count = _count_strategies(problem, t, node, state)
+    count = problem.strategy_counts[(node, state)]
     if count > problem.budget:
         raise _over_budget("strategy enumeration", problem, count, t, node, state)
 
-    def recurse(tt, nn, ss) -> list[dict]:
+    def recurse(tt, key) -> list[dict]:
         if tt == problem.tree.horizon:
             return [{}]
         out = []
-        for a in problem.controls_at(tt, ss):
-            per_child = [
-                recurse(tt + 1, c, problem.next_state(tt, ss, a, c))
-                for c in problem.tree.children[nn]
-            ]
-            for combo in product(*per_child):
-                d = {(nn, ss): a}
+        for a, keys in problem.reachable[tt][key]:
+            for combo in product(*[recurse(tt + 1, k) for k in keys]):
+                d = {key: a}
                 for sub in combo:
                     d.update(sub)
                 out.append(d)
         return out
 
-    return [Strategy(start=(t, node, state), choice=d) for d in recurse(t, node, state)]
+    return recurse(t, (node, state))
 
 
 def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
@@ -220,19 +208,27 @@ def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
 # reachability
 
 
-def reachable_states(problem: ControlledProblem) -> dict[int, list[tuple[str, str]]]:
-    """Per time, the reachable (node, state) pairs in deterministic order."""
+def reachable_states(
+    problem: ControlledProblem,
+) -> dict[int, dict[tuple[str, str], Moves]]:
+    """Per time, the reachable (node, state) pairs in deterministic order,
+    each with its moves; a horizon pair has none."""
     tree = problem.tree
-    out: dict[int, list[tuple[str, str]]] = {
-        0: [(tree.root, problem.initial_state)]
-    }
+    out: dict[int, dict[tuple[str, str], Moves]] = {}
+    level = [(tree.root, problem.initial_state)]
     for t in range(tree.horizon):
-        out[t + 1] = list(dict.fromkeys(
-            (c, problem.next_state(t, state, a, c))
-            for node, state in out[t]
-            for a in problem.controls_at(t, state)
-            for c in tree.children[node]
-        ))
+        out[t] = {
+            (node, state): tuple(
+                (a, tuple((c, problem.next_state(t, state, a, c))
+                          for c in tree.children[node]))
+                for a in problem.controls_at(t, state)
+            )
+            for node, state in level
+        }
+        level = dict.fromkeys(
+            key for moves in out[t].values() for _, keys in moves for key in keys
+        )
+    out[tree.horizon] = dict.fromkeys(level, ())
     return out
 
 
@@ -246,11 +242,8 @@ def _selections(
     """Every per-child selection from next_sets at (t, node, state), control by
     control, each control's selections counted against the budget first."""
     total = 0
-    for a in problem.controls_at(t, state):
-        child_sets = [
-            next_sets[(c, problem.next_state(t, state, a, c))]
-            for c in problem.tree.children[node]
-        ]
+    for _, keys in problem.reachable[t][(node, state)]:
+        child_sets = [next_sets[k] for k in keys]
         total += prod(len(s) for s in child_sets)
         if total > problem.budget:
             raise _over_budget(
@@ -269,28 +262,21 @@ def _profile_level(
     models = problem.family.models
     if below is None:
         return {
-            key: (1, ((problem.terminal_loss_at(*key),) * len(models),))
+            key: ((problem.terminal_loss_at(*key),) * len(models),)
             for key in problem.reachable[t]
         }
-    below_profiles = {key: profs for key, (_, profs) in below.items()}
     out: ProfileLevel = {}
     for node, state in problem.reachable[t]:
-        count = sum(
-            prod(
-                below[(c, problem.next_state(t, state, a, c))][0]
-                for c in problem.tree.children[node]
-            )
-            for a in problem.controls_at(t, state)
-        )
+        count = problem.strategy_counts[(node, state)]
         if count > problem.budget:
             raise _over_budget(
                 "strategy enumeration", problem, count, t, node, state
             )
         rows = [m.transition[node] for m in models]
-        out[(node, state)] = (count, tuple(dict.fromkeys(
+        out[(node, state)] = tuple(dict.fromkeys(
             tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
-            for combo in _selections(problem, t, node, state, below_profiles)
-        )))
+            for combo in _selections(problem, t, node, state, below)
+        ))
     return out
 
 
@@ -306,7 +292,7 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
             _sup_or_raise(problem, p, f"t={t}, node={node!r}, strategy")
             for p in profs
         ))
-        for (node, state), (_, profs) in levels[t].items()
+        for (node, state), profs in levels[t].items()
     }
 
 
@@ -363,38 +349,14 @@ def one_step_R(
 @dataclass(frozen=True)
 class BellmanRow:
     time: int
-    #: weak inclusions (hold on every instance)
-    b_in_v_plus: bool   # B subset of V + C
-    v_in_b_minus: bool  # V subset of B - C
-    r_in_v_plus: bool
-    v_in_r_minus: bool
-    #: strong inclusions (expected under rectangularity)
-    v_in_b_plus: bool
-    b_in_v_minus: bool
-    v_in_r_plus: bool
-    r_in_v_minus: bool
+    #: the weak inclusions, which hold on every instance
+    weak_ok: bool
+    #: the strong inclusions, expected under rectangularity
+    strong_ok: bool
     #: exact set equality V = R = B (expected under rectangularity and a
     #: pointed cone)
     equality: bool
     witnesses: tuple[str, ...] = ()
-
-    @property
-    def weak_ok(self) -> bool:
-        return (
-            self.b_in_v_plus
-            and self.v_in_b_minus
-            and self.r_in_v_plus
-            and self.v_in_r_minus
-        )
-
-    @property
-    def strong_ok(self) -> bool:
-        return (
-            self.v_in_b_plus
-            and self.b_in_v_minus
-            and self.v_in_r_plus
-            and self.r_in_v_minus
-        )
 
 
 @dataclass(frozen=True)
@@ -421,10 +383,13 @@ class BellmanReport:
         return all(r.equality for r in self.rows)
 
 
-#: the set relations of a Bellman row, in witness order
+#: the relations of a Bellman row, in witness order: the weak inclusions
+#: (B in V + C, V in B - C, R in V + C, V in R - C), the strong ones and
+#: the set equality
 _RELATIONS = (
     "b_in_v_plus", "v_in_b_minus", "r_in_v_plus", "v_in_r_minus",
     "v_in_b_plus", "b_in_v_minus", "v_in_r_plus", "r_in_v_minus",
+    "equality",
 )
 
 
@@ -445,14 +410,7 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
     rows = []
     for t in range(tree.horizon):
         v_lvl, b_lvl, r_lvl = v_all[t], b_all[t], r_all[t]
-        flags = dict.fromkeys(_RELATIONS + ("equality",), True)
-        witnesses: list[str] = []
-
-        def record(name, ok, key):
-            if not ok:
-                flags[name] = False
-                witnesses.append(f"{name} fails at t={t}, (node, state)={key}")
-
+        failed: list[tuple[str, tuple[str, str]]] = []
         for key in v_lvl:
             v, b, r = v_lvl[key], b_lvl[key], r_lvl[key]
             weak_b, strong_b = relations(v, b), relations(b, v)
@@ -461,12 +419,19 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
                 (weak_b, strong_b) if r_lvl is b_lvl
                 else (relations(v, r), relations(r, v))
             )
-            for name, ok in zip(_RELATIONS, weak_b + weak_r + strong_b + strong_r):
-                record(name, ok, key)
-            record(
-                "equality", set(v) == set(b) == set(r), key
-            )
-        rows.append(BellmanRow(time=t, witnesses=tuple(witnesses), **flags))
+            holds = (weak_b + weak_r + strong_b + strong_r
+                     + (set(v) == set(b) == set(r),))
+            failed += [(name, key) for name, ok in zip(_RELATIONS, holds) if not ok]
+        names = {name for name, _ in failed}
+        rows.append(BellmanRow(
+            time=t,
+            weak_ok=names.isdisjoint(_RELATIONS[:4]),
+            strong_ok=names.isdisjoint(_RELATIONS[4:8]),
+            equality="equality" not in names,
+            witnesses=tuple(
+                f"{name} fails at t={t}, (node, state)={key}" for name, key in failed
+            ),
+        ))
     rect = (
         is_m_rectangular(problem.family)
         if problem.cone.kind == COMPONENTWISE

@@ -75,11 +75,13 @@ def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
 
 def _rows_at(value, path: str, dim: Optional[int] = None) -> list[Vec]:
     """A nonempty list of rational rows of dimension dim, else of the first
-    row's dimension."""
+    row's dimension, which must be positive."""
     if not isinstance(value, list) or not value:
         raise InstanceError(path, "expected a nonempty list of rows")
     if dim is None:
         dim = len(_vec_at(value[0], f"{path}/0"))
+        if not dim:
+            raise InstanceError(f"{path}/0", "expected a nonempty list of rationals")
     return [_vec_at(r, f"{path}/{i}", dim) for i, r in enumerate(value)]
 
 
@@ -163,7 +165,7 @@ def _parse_cone(doc, dim: int, path: str) -> Cone:
 def _parse_tree(doc, path: str) -> ScenarioTree:
     if not isinstance(doc, dict):
         raise InstanceError(path, "tree must be an object")
-    horizon = _require(doc, "horizon", path)
+    horizon = _int_at(_require(doc, "horizon", path), f"{path}/horizon", positive=True)
     levels = _require(doc, "levels", path)
     children = _require(doc, "children", path)
     if not isinstance(levels, list):

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import prod
 
 from robust_vdp import (
     NON_UNIQUE,
@@ -16,6 +18,7 @@ from robust_vdp import (
     UNIQUE,
     Cone,
     ControlledProblem,
+    DeskScaleExceededError,
     DynamicsSpec,
     Model,
     ModelFamily,
@@ -25,7 +28,6 @@ from robust_vdp import (
     SupResult,
     UnsupportedConeError,
     cond_expect,
-    enumerate_strategies,
     is_m_rectangular,
     leq_t,
     one_step_R,
@@ -122,6 +124,74 @@ def stepwise_pruned_backward(problem: ControlledProblem) -> dict:
     return out
 
 
+def naive_reachable(problem: ControlledProblem) -> dict:
+    """Per time, the reachable (node, state) pairs in first-visit order,
+    stepping every pair through ``controls_at`` and ``next_state``."""
+    tree = problem.tree
+    out = {0: [(tree.root, problem.initial_state)]}
+    for t in range(tree.horizon):
+        out[t + 1] = list(dict.fromkeys(
+            (c, problem.next_state(t, state, a, c))
+            for node, state in out[t]
+            for a in problem.controls_at(t, state)
+            for c in tree.children[node]
+        ))
+    return out
+
+
+def naive_strategy_count(
+    problem: ControlledProblem, t: int, node: str, state: str
+) -> int:
+    """The number of strategies from (t, node, state): per control, the
+    product of the children's counts, by memoised recursion."""
+    @lru_cache(maxsize=None)
+    def count(tt, nn, ss):
+        if tt == problem.tree.horizon:
+            return 1
+        return sum(
+            prod(
+                count(tt + 1, c, problem.next_state(tt, ss, a, c))
+                for c in problem.tree.children[nn]
+            )
+            for a in problem.controls_at(tt, ss)
+        )
+    return count(t, node, state)
+
+
+def naive_strategies(
+    problem: ControlledProblem, t: int = 0, node=None, state=None
+) -> list[dict]:
+    """Every strategy from (t, node, state) as its control per (node, state),
+    depth first, control by control; a count over the budget raises the
+    engine's budget error."""
+    node = node if node is not None else problem.tree.root
+    state = state if state is not None else problem.initial_state
+    count = naive_strategy_count(problem, t, node, state)
+    if count > problem.budget:
+        raise DeskScaleExceededError(
+            f"strategy enumeration exceeds the budget of {problem.budget} "
+            f"({count} at t={t}, node={node!r}, state={state!r})"
+        )
+
+    def recurse(tt, nn, ss) -> list[dict]:
+        if tt == problem.tree.horizon:
+            return [{}]
+        out = []
+        for a in problem.controls_at(tt, ss):
+            per_child = [
+                recurse(tt + 1, c, problem.next_state(tt, ss, a, c))
+                for c in problem.tree.children[nn]
+            ]
+            for combo in product(*per_child):
+                d = {(nn, ss): a}
+                for sub in combo:
+                    d.update(sub)
+                out.append(d)
+        return out
+
+    return recurse(t, node, state)
+
+
 def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
     """Forward value sets by strategy enumeration: per reachable
     (node, state) at t, every strategy's terminal table, its expectation
@@ -133,7 +203,7 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
         if tt == tree.horizon:
             acc[nn] = problem.terminal_loss_at(nn, ss)
             return acc
-        a = strat.choice[(nn, ss)]
+        a = strat[(nn, ss)]
         for c in tree.children[nn]:
             table(strat, tt + 1, c, problem.next_state(tt, ss, a, c), acc)
         return acc
@@ -147,7 +217,7 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
     out = {}
     for node, state in problem.reachable[t]:
         vals = []
-        for strat in enumerate_strategies(problem, t, node, state):
+        for strat in naive_strategies(problem, t, node, state):
             leaves = table(strat, t, node, state, {})
             res = vsup(
                 problem.cone,
@@ -413,6 +483,27 @@ def random_family(
 
 def random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+
+
+def random_tabulated_problem(
+    rng: random.Random, dim: int = 2, max_strategies: int = 3, max_models: int = 4
+) -> ControlledProblem:
+    """Random componentwise-order problem in tabulated mode: a few named
+    strategies, each with a random loss on every leaf."""
+    tree = random_tree(rng)
+    leaves = tree.nodes_at(tree.horizon)
+    strategies = {
+        f"x{k}": {leaf: tuple(random_rational(rng) for _ in range(dim))
+                  for leaf in leaves}
+        for k in range(rng.randint(1, max_strategies))
+    }
+    return ControlledProblem(
+        tree=tree,
+        family=random_family(rng, tree, max_models=max_models),
+        cone=Cone.componentwise(dim),
+        mode="tabulated",
+        strategies=strategies,
+    )
 
 
 def random_dynamics_problem(

@@ -429,3 +429,41 @@ def test_whole_side_file_errors_name_the_file(
     code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
     named = cone if bad == "cone" else points
     assert (code, out, err) == (2, "", f"error: {named}: {message}\n")
+
+
+@pytest.mark.parametrize("horizon", [True, "2", [2], 0])
+def test_tree_horizon_is_a_positive_integer(tmp_path, capsys, horizon):
+    def edit(doc):
+        doc["tree"]["horizon"] = horizon
+
+    code, out, err = _solve_doc(tmp_path, capsys, "binomial_tables.json", edit)
+    assert (code, out, err) == (
+        2, "", "error: /tree/horizon: expected a positive integer\n"
+    )
+
+
+@pytest.mark.parametrize("cone_doc", [
+    {"kind": "halfspace", "w": [1, 1]}, {"kind": "componentwise"},
+])
+def test_zero_dimensional_points_are_blamed_on_the_points(tmp_path, capsys, cone_doc):
+    cone, points = _vsup_files(tmp_path, cone_doc, [[]])
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    assert (code, out, err) == (
+        2, "", "error: /0: expected a nonempty list of rationals\n"
+    )
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
+def test_rect_test_vectors_report_no_seed(tmp_path, capsys, seed):
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps(
+        [{"uu": [1, 2], "ud": [0, 1], "du": [3, 0], "dd": ["1/2", 1]}]
+    ))
+    code, out, _ = run(
+        capsys, "rect", "--instance", INSTANCE, "--test-vectors", str(vectors),
+        "--format", "json", *seed,
+    )
+    assert code == 0
+    assert json.loads(out)["summary"] == (
+        "no counterexample found among 1 test vectors (1 (vector, time) checks)"
+    )

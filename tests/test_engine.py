@@ -34,10 +34,14 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
 from .oracles import (
+    naive_reachable,
+    naive_strategies,
+    naive_strategy_count,
     pairwise_minimal_elements,
     pairwise_upper_image_report,
     per_model_one_step_sets,
     random_dynamics_problem,
+    random_tabulated_problem,
     stepwise_pruned_backward,
     strategy_value_sets,
 )
@@ -108,7 +112,7 @@ def uniform_family(tree, n=1):
 def test_tabulated_strategy_enumeration(binomial):
     strats = enumerate_strategies(binomial)
     assert len(strats) == 2
-    assert sorted(s.describe() for s in strats) == ["phi", "psi"]
+    assert sorted(s[("n0", "*")] for s in strats) == ["phi", "psi"]
 
 
 def test_dynamics_strategy_count_depth2_binary():
@@ -183,6 +187,38 @@ def _outcome(fn, *args):
         return fn(*args)
     except (DeskScaleExceededError, SupNotExistsError, UnsupportedConeError) as e:
         return type(e).__name__, str(e)
+
+
+def test_moves_table_equals_naive_walk():
+    rng = random.Random(137)
+    problems = [
+        parse_document(read_text(name)).problem
+        for name in (
+            "binomial_tables.json",
+            "binomial_tables_independent.json",
+            "binomial_marginals.json",
+        )
+    ]
+    problems += [random_dynamics_problem(rng, max_controls=3, n_states=3)
+                 for _ in range(24)]
+    problems += [random_tabulated_problem(rng, max_strategies=4) for _ in range(24)]
+    enumerated = over_budget = 0
+    for problem in problems:
+        problem = dataclasses.replace(problem, budget=rng.choice((4, 40, 400)))
+        naive = naive_reachable(problem)
+        assert {t: list(level) for t, level in problem.reachable.items()} == naive
+        for t, keys in naive.items():
+            for node, state in keys:
+                assert problem.strategy_counts[(node, state)] == (
+                    naive_strategy_count(problem, t, node, state)
+                )
+                got = _outcome(enumerate_strategies, problem, t, node, state)
+                assert got == _outcome(naive_strategies, problem, t, node, state)
+                if isinstance(got, tuple):
+                    over_budget += 1
+                else:
+                    enumerated += len(got)
+    assert over_budget > 10 and enumerated > 500
 
 
 def test_value_sets_equal_strategy_enumeration():
