@@ -29,6 +29,7 @@ from .exactlp import (
     ZERO,
     Vec,
     dot,
+    exact,
     feasible_point,
     mat_rank,
     vec,
@@ -220,12 +221,18 @@ class Cone:
         ``others + C`` (outside ``others - C`` when ``below``), i.e. above
         (below) no point of ``others``.  With ``strict`` (meant for pointed
         cones, where equal images are equal points) a point is not covered
-        by an equal one.  Every point is coerced and checked for the cone's
-        dimension before the first one is yielded."""
-        pts = [vec(x) for x in points]
-        oth = [vec(y) for y in others]
+        by an equal one.  Every point is coerced (``exact``) and checked for
+        the cone's dimension before the first one is yielded."""
+        pts = [exact(x) for x in points]
+        oth = [exact(y) for y in others]
         for x in pts + oth:
             self._check_dim(x)
+        return self._uncovered(pts, oth, below, strict)
+
+    def _uncovered(
+        self, pts: list[Vec], oth: list[Vec], below: bool, strict: bool
+    ) -> Iterator[Vec]:
+        """``uncovered`` on points already coerced and checked."""
         if self.duals is None:
             for x in pts:
                 if not any(
@@ -270,5 +277,7 @@ def minimal_elements(points: Iterable[Iterable], cone: Cone) -> list[Vec]:
 
     if not cone.is_pointed():
         raise UnsupportedConeError("minimal elements need a pointed cone")
-    pts = list(dict.fromkeys(vec(x) for x in points))
-    return list(cone.uncovered(pts, pts, strict=True))
+    pts = list(dict.fromkeys(exact(x) for x in points))
+    for x in pts:
+        cone._check_dim(x)
+    return list(cone._uncovered(pts, pts, below=False, strict=True))

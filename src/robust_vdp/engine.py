@@ -11,14 +11,22 @@ partial order.
 Internally every quantity is indexed by ``(time, node, state)``: the value
 sets factorise over the atoms of a time level, so per-node sets are a
 faithful representation of the corresponding sets of adapted vectors.
+
+Every value at time t is computed times one positive level scale S_t
+(``ControlledProblem.scales``), so that expectations with the rows'
+integer weights stay integers on integer values.  The cone order, set
+order, dedup and suprema commute with one positive scale per level, so
+the verdicts are those of the true values; public functions divide the
+values back into ``Fraction``s before returning them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cones import COMPONENTWISE, Cone, minimal_elements
@@ -49,7 +57,8 @@ LevelSets = dict[tuple[str, str], tuple[Vec, ...]]
 Moves = tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 
 #: one forward level: (node, state) -> the distinct profiles of the strategies
-#: from there (expected terminal loss per model), by first strategy
+#: from there (expected terminal loss per model, over the level scale), by
+#: first strategy
 ProfileLevel = dict[tuple[str, str], tuple[tuple[Vec, ...], ...]]
 
 
@@ -110,6 +119,20 @@ class ControlledProblem:
                     prod(counts[k] for k in keys) for _, keys in moves
                 ) if moves else 1
         return counts
+
+    @cached_property
+    def scales(self) -> tuple[int, ...]:
+        """The level scales S_0..S_T.  S_T is the lcm of the denominators of
+        the reachable terminal losses and S_t = D_t * S_{t+1}, D_t being the
+        family's row denominator at t (``ModelFamily.denominators``)."""
+        horizon = self.tree.horizon
+        scales = [lcm(*(
+            x.denominator
+            for key in self.reachable[horizon] for x in self.terminal_loss_at(*key)
+        ))]
+        for d in reversed(self.family.denominators):
+            scales.append(d * scales[-1])
+        return tuple(reversed(scales))
 
     @cached_property
     def profile_levels(self) -> dict[int, ProfileLevel]:
@@ -233,6 +256,40 @@ def reachable_states(
 
 
 # ---------------------------------------------------------------------------
+# level scales
+
+
+def _at_scale(v, s: int) -> tuple:
+    """The true vector v times the level scale s, int where it is an integer."""
+    return tuple(
+        x.numerator * (s // x.denominator) if s % x.denominator == 0 else x * s
+        for x in v
+    )
+
+
+def _true(v, s: int) -> Vec:
+    """The scaled vector v divided back by its level scale s."""
+    return tuple(Fraction(x, s) for x in v)
+
+
+def _level_at_scale(level: Mapping, s: int) -> LevelSets:
+    return {key: tuple(_at_scale(v, s) for v in vals) for key, vals in level.items()}
+
+
+def _level_true(level: Mapping, s: int) -> LevelSets:
+    return {key: tuple(_true(v, s) for v in vals) for key, vals in level.items()}
+
+
+def _terminal_level(problem: ControlledProblem) -> LevelSets:
+    """The one terminal loss of each reachable horizon key, over S_T."""
+    s = problem.scales[problem.tree.horizon]
+    return {
+        key: (_at_scale(problem.terminal_loss_at(*key), s),)
+        for key in problem.reachable[problem.tree.horizon]
+    }
+
+
+# ---------------------------------------------------------------------------
 # the three value functions
 
 
@@ -256,15 +313,15 @@ def _selections(
 def _profile_level(
     problem: ControlledProblem, t: int, below: Optional[ProfileLevel]
 ) -> ProfileLevel:
-    """The forward level at time t, from the level below (None at the
-    horizon); each strategy count is checked against the budget before its
-    profiles are built."""
-    models = problem.family.models
+    """The forward level at time t over S_t, from the level below (None at
+    the horizon); each strategy count is checked against the budget before
+    its profiles are built."""
     if below is None:
         return {
-            key: ((problem.terminal_loss_at(*key),) * len(models),)
-            for key in problem.reachable[t]
+            key: (losses * len(problem.family.models),)
+            for key, losses in _terminal_level(problem).items()
         }
+    weights = problem.family.weights
     out: ProfileLevel = {}
     for node, state in problem.reachable[t]:
         count = problem.strategy_counts[(node, state)]
@@ -272,7 +329,7 @@ def _profile_level(
             raise _over_budget(
                 "strategy enumeration", problem, count, t, node, state
             )
-        rows = [m.transition[node] for m in models]
+        rows = weights[node]
         out[(node, state)] = tuple(dict.fromkeys(
             tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
             for combo in _selections(problem, t, node, state, below)
@@ -287,13 +344,13 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     levels = problem.profile_levels
     for s in range(min(levels, default=problem.tree.horizon + 1) - 1, t - 1, -1):
         levels[s] = _profile_level(problem, s, levels.get(s + 1))
-    return {
+    return _level_true({
         (node, state): tuple(dict.fromkeys(
             _sup_or_raise(problem, p, f"t={t}, node={node!r}, strategy")
             for p in profs
         ))
         for (node, state), profs in levels[t].items()
-    }
+    }, problem.scales[t])
 
 
 def prune_pareto(points: Iterable[Vec], cone: Cone) -> tuple[Vec, ...]:
@@ -308,12 +365,12 @@ def _one_step_sets(
     next_sets: Mapping[tuple[str, str], Sequence[Vec]],
 ) -> LevelSets:
     """Selector recursion: per (node, state), the suprema over models of
-    one-step expectations of every per-child selection from next_sets.  A
-    supremum ignores repeated points, so each distinct node row is taken
-    once."""
+    one-step expectations of every per-child selection from next_sets, which
+    are over S_{t+1}; the result is over S_t.  A supremum ignores repeated
+    points, so each distinct node row is taken once."""
     out: LevelSets = {}
     for node, state in problem.reachable[t]:
-        rows = problem.family.rows[node]
+        rows = dict.fromkeys(problem.family.weights[node])
         context = f"t={t}, node={node!r}, selector"
         out[(node, state)] = tuple(dict.fromkeys(
             _sup_or_raise(problem, [expect(row, combo) for row in rows], context)
@@ -324,22 +381,21 @@ def _one_step_sets(
 
 def backward_value(problem: ControlledProblem) -> dict[int, LevelSets]:
     """Backward recursion from the horizon down to time 0."""
-    tree = problem.tree
-    out: dict[int, LevelSets] = {}
-    out[tree.horizon] = {
-        (leaf, state): (problem.terminal_loss_at(leaf, state),)
-        for leaf, state in problem.reachable[tree.horizon]
-    }
-    for t in range(tree.horizon - 1, -1, -1):
+    horizon = problem.tree.horizon
+    out: dict[int, LevelSets] = {horizon: _terminal_level(problem)}
+    for t in range(horizon - 1, -1, -1):
         out[t] = _one_step_sets(problem, t, out[t + 1])
-    return out
+    return {t: _level_true(lvl, problem.scales[t]) for t, lvl in out.items()}
 
 
 def one_step_R(
     problem: ControlledProblem, t: int, v_next: LevelSets
 ) -> LevelSets:
     """One-step recursion fed with the exact forward value sets at t+1."""
-    return _one_step_sets(problem, t, v_next)
+    scales = problem.scales
+    return _level_true(
+        _one_step_sets(problem, t, _level_at_scale(v_next, scales[t + 1])), scales[t]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +465,10 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
 
     rows = []
     for t in range(tree.horizon):
-        v_lvl, b_lvl, r_lvl = v_all[t], b_all[t], r_all[t]
+        # decided over S_t
+        s = problem.scales[t]
+        v_lvl, b_lvl = _level_at_scale(v_all[t], s), _level_at_scale(b_all[t], s)
+        r_lvl = b_lvl if r_all[t] is b_all[t] else _level_at_scale(r_all[t], s)
         failed: list[tuple[str, tuple[str, str]]] = []
         for key in v_lvl:
             v, b, r = v_lvl[key], b_lvl[key], r_lvl[key]
@@ -505,10 +564,17 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
     _require_componentwise(problem)
     tree = problem.tree
     rect = is_m_rectangular(problem.family)
-    gens = {t: upper_image(problem, t) for t in range(tree.horizon + 1)}
-    perturbations = _cone_perturbations(problem.cone.dim)
+    scales = problem.scales
+    # the generators and perturbations over the level scales
+    gens = {
+        t: _level_at_scale(upper_image(problem, t), scales[t])
+        for t in range(tree.horizon + 1)
+    }
     rows = []
     for t in range(tree.horizon):
+        perturbations = [
+            _at_scale(p, scales[t + 1]) for p in _cone_perturbations(problem.cone.dim)
+        ]
         perturbed: LevelSets = {
             key: tuple(dict.fromkeys(
                 tuple(x + p for x, p in zip(g, pert))
@@ -529,8 +595,8 @@ def check_upper_image_recursion(problem: ControlledProblem) -> UpperImageReport:
             for x in problem.cone.uncovered(rec_perturbed[key], target):
                 ok = False
                 witnesses.append(
-                    f"recursion value {x} escapes the upper image at "
-                    f"t={t}, (node, state)={key}"
+                    f"recursion value {_true(x, scales[t])} escapes the upper "
+                    f"image at t={t}, (node, state)={key}"
                 )
             if rect:
                 mins = set(minimal_elements(rec_pure[key], problem.cone))

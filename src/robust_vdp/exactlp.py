@@ -38,6 +38,19 @@ def vec(xs: Iterable) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
+#: the coordinate types ``exact`` keeps as they are
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def exact(xs: Iterable) -> tuple:
+    """The point as exact rationals: ``int`` and ``Fraction`` coordinates as
+    they are, anything else through ``frac`` (which rejects ``bool``).  A
+    tuple of such coordinates is returned as it is."""
+    if type(xs) is tuple and _EXACT_TYPES.issuperset(map(type, xs)):
+        return xs
+    return tuple(x if type(x) in _EXACT_TYPES else frac(x) for x in xs)
+
+
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")

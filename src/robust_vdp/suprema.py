@@ -16,12 +16,12 @@ from .errors import DeskScaleExceededError, DualNotLIError
 from .exactlp import (
     Vec,
     dot,
+    exact,
     lp,
     nullspace_basis,
     polyhedron_vertices,
     solve_linear,
     vadd,
-    vec,
 )
 
 UNIQUE = "unique"
@@ -49,7 +49,7 @@ class SupResult:
 
 
 def _require_points(xs) -> list[Vec]:
-    pts = [vec(x) for x in xs]
+    pts = [exact(x) for x in xs]
     if not pts:
         raise ValueError("supremum of an empty collection is undefined")
     d = len(pts[0])

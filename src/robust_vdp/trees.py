@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone, DimensionMismatchError
@@ -140,6 +141,29 @@ class ModelFamily:
             for n in self.tree.inner_nodes
         }
 
+    @cached_property
+    def denominators(self) -> tuple[int, ...]:
+        """Per time 0..T-1, D_t: the lcm of the denominators of the rows at
+        that level's nodes."""
+        return tuple(
+            lcm(*(p.denominator for n in level for row in self.rows[n] for p in row))
+            for level in self.tree.levels[:-1]
+        )
+
+    @cached_property
+    def weights(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """Per non-terminal node, each model's row as integer weights
+        p * D_t, in model order; each distinct row is scaled once."""
+        out = {}
+        for level, d in zip(self.tree.levels, self.denominators):
+            for n in level:
+                scaled = {
+                    row: tuple(p.numerator * (d // p.denominator) for p in row)
+                    for row in self.rows[n]
+                }
+                out[n] = tuple(scaled[tuple(m.transition[n])] for m in self.models)
+        return out
+
     def by_id(self, model_id: str) -> Model:
         for m in self.models:
             if m.id == model_id:
@@ -174,9 +198,12 @@ class AdaptedVector:
             raise DimensionMismatchError("mixed dimensions in adapted vector")
 
 
-def expect(probs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
-    """One-step expectation: the probability-weighted sum of the child
-    vectors, coordinate by coordinate.  Exact."""
+def expect(probs: Sequence, points: Sequence[Vec]) -> Vec:
+    """One-step expectation: the weighted sum of the child vectors,
+    coordinate by coordinate.  Exact.  The weights are probabilities, or a
+    row's integer weights p * D_t on child values over a level scale (see
+    ``ControlledProblem.scales``); integer weights on integer coordinates
+    give integers."""
     terms = zip(probs, points)
     p, x = next(terms)
     acc = [p * xi for xi in x]

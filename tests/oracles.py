@@ -11,11 +11,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
+from typing import Optional, Sequence
 
 from robust_vdp import (
+    COMPONENTWISE,
     NON_UNIQUE,
     NOT_EXISTS,
     UNIQUE,
+    BellmanReport,
+    BellmanRow,
     Cone,
     ControlledProblem,
     DeskScaleExceededError,
@@ -234,8 +238,8 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
 
 
 def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> dict:
-    """The selector recursion with one expectation per model, repeated node
-    rows included; a drop-in for ``engine._one_step_sets``."""
+    """The selector recursion with one ``Fraction`` expectation per model,
+    repeated node rows included, on true-scale sets."""
     out = {}
     for node, state in problem.reachable[t]:
         rows = [m.transition[node] for m in problem.family.models]
@@ -245,6 +249,81 @@ def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> di
             for combo in _selections(problem, t, node, state, next_sets)
         ))
     return out
+
+
+def per_model_backward_value(problem: ControlledProblem) -> dict:
+    """Backward sets B from the horizon down, each level by
+    ``per_model_one_step_sets`` on true-scale ``Fraction`` sets."""
+    horizon = problem.tree.horizon
+    out = {horizon: {
+        key: (vec(problem.terminal_loss_at(*key)),)
+        for key in problem.reachable[horizon]
+    }}
+    for t in range(horizon - 1, -1, -1):
+        out[t] = per_model_one_step_sets(problem, t, out[t + 1])
+    return out
+
+
+def fraction_bellman_report(problem: ControlledProblem) -> BellmanReport:
+    """``check_bellman`` from the oracles: V by strategy enumeration, B and
+    R by the per-model ``Fraction`` recursion, and every relation by one
+    ``leq`` per compared pair on the true-scale sets."""
+    cone = problem.cone
+    horizon = problem.tree.horizon
+    v = {t: strategy_value_sets(problem, t) for t in range(horizon + 1)}
+    b = per_model_backward_value(problem)
+    r = {t: per_model_one_step_sets(problem, t, v[t + 1]) for t in range(horizon)}
+    rows = []
+    for t in range(horizon):
+        failed = []
+        for key in v[t]:
+            vv, bb, rr = v[t][key], b[t][key], r[t][key]
+            holds = {
+                "b_in_v_plus": pairwise_set_precurly(cone, vv, bb),
+                "v_in_b_minus": pairwise_set_curlyprec(cone, vv, bb),
+                "r_in_v_plus": pairwise_set_precurly(cone, vv, rr),
+                "v_in_r_minus": pairwise_set_curlyprec(cone, vv, rr),
+                "v_in_b_plus": pairwise_set_precurly(cone, bb, vv),
+                "b_in_v_minus": pairwise_set_curlyprec(cone, bb, vv),
+                "v_in_r_plus": pairwise_set_precurly(cone, rr, vv),
+                "r_in_v_minus": pairwise_set_curlyprec(cone, rr, vv),
+                "equality": set(vv) == set(bb) == set(rr),
+            }
+            failed += [(name, key) for name, ok in holds.items() if not ok]
+        names = {name for name, _ in failed}
+        rows.append(BellmanRow(
+            time=t,
+            weak_ok=names.isdisjoint(
+                {"b_in_v_plus", "v_in_b_minus", "r_in_v_plus", "v_in_r_minus"}),
+            strong_ok=names.isdisjoint(
+                {"v_in_b_plus", "b_in_v_minus", "v_in_r_plus", "r_in_v_minus"}),
+            equality="equality" not in names,
+            witnesses=tuple(
+                f"{name} fails at t={t}, (node, state)={key}" for name, key in failed
+            ),
+        ))
+    rect = is_m_rectangular(problem.family) if cone.kind == COMPONENTWISE else None
+    return BellmanReport(
+        rows=tuple(rows), m_rectangular=rect, pointed=cone.is_pointed(), v=v, b=b, r=r
+    )
+
+
+def at_level_scales(one_step):
+    """A drop-in for ``engine._one_step_sets``, whose sets at t are over the
+    level scale S_t, that runs ``one_step`` on the true-scale sets: the
+    scaled sets are divided back, and its result is scaled up again."""
+    def scaled(problem: ControlledProblem, t: int, next_sets) -> dict:
+        s_next, s = problem.scales[t + 1], problem.scales[t]
+        true = {
+            key: tuple(tuple(Fraction(x) / s_next for x in v) for v in vals)
+            for key, vals in next_sets.items()
+        }
+        return {
+            key: tuple(tuple(x * s for x in v) for v in vals)
+            for key, vals in one_step(problem, t, true).items()
+        }
+
+    return scaled
 
 
 def _beta_pivot_solution(b_rows, rhs):
@@ -327,8 +406,9 @@ def pairwise_minimal_elements(points, cone: Cone) -> list:
 
 def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
     """``check_upper_image_recursion`` with one ``leq`` per recursion value
-    and generator; reads ``engine.upper_image`` and ``engine.minimal_elements``
-    through the module, so a test can patch either."""
+    and generator and the ``Fraction`` selector recursion on true-scale sets;
+    reads ``engine.upper_image`` and ``engine.minimal_elements`` through the
+    module, so a test can patch either."""
     engine._require_componentwise(problem)
     tree = problem.tree
     rect = is_m_rectangular(problem.family)
@@ -344,8 +424,8 @@ def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
             ))
             for key, vals in gens[t + 1].items()
         }
-        rec_perturbed = engine._one_step_sets(problem, t, perturbed)
-        rec_pure = engine._one_step_sets(problem, t, gens[t + 1]) if rect else None
+        rec_perturbed = per_model_one_step_sets(problem, t, perturbed)
+        rec_pure = per_model_one_step_sets(problem, t, gens[t + 1]) if rect else None
         ok = True
         eq = True if rect else None
         witnesses = []
@@ -419,7 +499,15 @@ def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> Rec
 # random instance generation
 
 
-def _random_prob_vector(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+def _random_prob_vector(
+    rng: random.Random, n: int, denominator: Optional[int] = None
+) -> tuple[Fraction, ...]:
+    """Random positive weights normalised, or with a denominator, a random
+    split of it into n nonnegative numerators."""
+    if denominator is not None:
+        cuts = sorted(rng.randint(0, denominator) for _ in range(n - 1))
+        bounds = [0, *cuts, denominator]
+        return tuple(Fraction(b - a, denominator) for a, b in zip(bounds, bounds[1:]))
     weights = [Fraction(rng.randint(1, 4)) for _ in range(n)]
     s = sum(weights)
     return tuple(w / s for w in weights)
@@ -455,9 +543,21 @@ def random_tree(
 
 
 def random_family(
-    rng: random.Random, tree: ScenarioTree, max_models: int = 4, rectangular: bool = False
+    rng: random.Random,
+    tree: ScenarioTree,
+    max_models: int = 4,
+    rectangular: bool = False,
+    level_denominators: Optional[Sequence[int]] = None,
 ) -> ModelFamily:
+    """Random family; with ``level_denominators`` every row at time t has
+    probabilities over ``level_denominators[t]``."""
     nonterminal = [n for t in range(tree.horizon) for n in tree.nodes_at(t)]
+    level = {n: t for t in range(tree.horizon) for n in tree.nodes_at(t)}
+
+    def row(n):
+        q = level_denominators[level[n]] if level_denominators else None
+        return _random_prob_vector(rng, len(tree.children[n]), q)
+
     if rectangular:
         from robust_vdp import rectangularize
 
@@ -465,41 +565,46 @@ def random_family(
         # within the max_models bound
         wide = rng.sample(nonterminal, min(len(nonterminal), rng.randint(0, 2)))
         marginals = {
-            n: [
-                _random_prob_vector(rng, len(tree.children[n]))
-                for _ in range(2 if n in wide else 1)
-            ]
-            for n in nonterminal
+            n: [row(n) for _ in range(2 if n in wide else 1)] for n in nonterminal
         }
         return rectangularize(tree, marginals)
     models = []
     for k in range(rng.randint(1, max_models)):
-        transition = {
-            n: _random_prob_vector(rng, len(tree.children[n])) for n in nonterminal
-        }
+        transition = {n: row(n) for n in nonterminal}
         models.append(Model(id=f"m{k}", transition=transition))
     return ModelFamily(tree=tree, models=tuple(models))
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+def random_rational(
+    rng: random.Random, denominators: Sequence[int] = (1, 2, 4)
+) -> Fraction:
+    return Fraction(rng.randint(-8, 8), rng.choice(denominators))
 
 
 def random_tabulated_problem(
-    rng: random.Random, dim: int = 2, max_strategies: int = 3, max_models: int = 4
+    rng: random.Random,
+    dim: int = 2,
+    max_strategies: int = 3,
+    max_models: int = 4,
+    level_denominators: Optional[Sequence[int]] = None,
+    loss_denominators: Sequence[int] = (1, 2, 4),
 ) -> ControlledProblem:
     """Random componentwise-order problem in tabulated mode: a few named
     strategies, each with a random loss on every leaf."""
     tree = random_tree(rng)
     leaves = tree.nodes_at(tree.horizon)
     strategies = {
-        f"x{k}": {leaf: tuple(random_rational(rng) for _ in range(dim))
-                  for leaf in leaves}
+        f"x{k}": {
+            leaf: tuple(random_rational(rng, loss_denominators) for _ in range(dim))
+            for leaf in leaves
+        }
         for k in range(rng.randint(1, max_strategies))
     }
     return ControlledProblem(
         tree=tree,
-        family=random_family(rng, tree, max_models=max_models),
+        family=random_family(
+            rng, tree, max_models=max_models, level_denominators=level_denominators
+        ),
         cone=Cone.componentwise(dim),
         mode="tabulated",
         strategies=strategies,
@@ -513,6 +618,8 @@ def random_dynamics_problem(
     max_models: int = 4,
     rectangular: bool = False,
     n_states: int = 2,
+    level_denominators: Optional[Sequence[int]] = None,
+    loss_denominators: Sequence[int] = (1, 2, 4),
 ) -> ControlledProblem:
     """Random componentwise-order problem in dynamics mode.
 
@@ -520,7 +627,10 @@ def random_dynamics_problem(
     admits every control at every time, so all strategies are valid.
     """
     tree = random_tree(rng)
-    family = random_family(rng, tree, max_models=max_models, rectangular=rectangular)
+    family = random_family(
+        rng, tree, max_models=max_models, rectangular=rectangular,
+        level_denominators=level_denominators,
+    )
     states = [f"s{i}" for i in range(n_states)]
     controls = [f"a{i}" for i in range(rng.randint(1, max_controls))]
     admissible = {
@@ -535,7 +645,8 @@ def random_dynamics_problem(
         for lab in labels
     }
     loss = {
-        s: tuple(random_rational(rng) for _ in range(dim)) for s in states
+        s: tuple(random_rational(rng, loss_denominators) for _ in range(dim))
+        for s in states
     }
     dyn = DynamicsSpec(
         initial_state=states[0],

@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -34,11 +35,14 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
 from .oracles import (
+    at_level_scales,
+    fraction_bellman_report,
     naive_reachable,
     naive_strategies,
     naive_strategy_count,
     pairwise_minimal_elements,
     pairwise_upper_image_report,
+    per_model_backward_value,
     per_model_one_step_sets,
     random_dynamics_problem,
     random_tabulated_problem,
@@ -576,6 +580,12 @@ def test_one_step_equals_per_model_expectations(monkeypatch):
                 out[t] = _outcome(one_step_R, problem, t, v[t + 1])
         return out
 
+    oracle_levels = Counter()
+
+    def counted_oracle(problem, t, next_sets):
+        oracle_levels[t] += 1
+        return per_model_one_step_sets(problem, t, next_sets)
+
     repeated = no_sup = 0
     for problem in problems:
         problem = dataclasses.replace(problem, budget=500)
@@ -585,7 +595,8 @@ def test_one_step_equals_per_model_expectations(monkeypatch):
         }
         got = outcomes(problem, v)
         with monkeypatch.context() as m:
-            m.setattr(engine, "_one_step_sets", per_model_one_step_sets)
+            # every one-step level from the Fraction oracle, at true scale
+            m.setattr(engine, "_one_step_sets", at_level_scales(counted_oracle))
             assert got == outcomes(problem, v)
         family = problem.family
         repeated += any(
@@ -593,6 +604,7 @@ def test_one_step_equals_per_model_expectations(monkeypatch):
         )
         no_sup += "SupNotExistsError" in got["B"]
     assert repeated > 20 and no_sup > 0
+    assert sum(oracle_levels.values()) > 200 and 2 in oracle_levels
 
 
 def test_one_step_takes_each_distinct_row_once(monkeypatch):
@@ -621,3 +633,136 @@ def test_one_step_takes_each_distinct_row_once(monkeypatch):
     assert len(family.models) == 8
     assert counts["selections"] > 0
     assert counts["expect"] == 2 * counts["selections"]
+
+
+#: a row denominator per level, pairwise coprime, and non-integer losses
+COPRIME = dict(level_denominators=(3, 5, 7), loss_denominators=(2, 3))
+
+
+def _coprime_problems(rng, cones):
+    """Random dynamics and tabulated problems under COPRIME, for each of
+    ``cones`` in turn (dimension taken from the cone)."""
+    problems = []
+    for i, cone in enumerate(cones):
+        if i % 2:
+            problem = random_tabulated_problem(
+                rng, dim=cone.dim, max_strategies=3, **COPRIME
+            )
+        else:
+            problem = random_dynamics_problem(
+                rng, dim=cone.dim, max_controls=3, n_states=3,
+                rectangular=bool(i % 4), **COPRIME,
+            )
+        problems.append(dataclasses.replace(problem, cone=cone))
+    return problems
+
+
+def test_level_scales_equal_fraction_oracles(monkeypatch):
+    # V, B and R over the level scales against the Fraction oracles, with
+    # coprime row denominators per level and halves and thirds as losses
+    rng = random.Random(139)
+    roof = _parse_cone(json.loads(read_text("cone_roof3d.json")), 3, "/")
+    cones = [Cone.componentwise(2), Cone.halfspace((1, 1)),
+             Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])] * 16
+    problems = _coprime_problems(rng, cones)
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(
+                rng, dim=3, max_controls=1, max_models=3, **COPRIME
+            ),
+            cone=roof,
+        )
+        for _ in range(2)
+    ]
+    upper_image = engine.upper_image
+
+    def first_generators(problem, t):
+        return {key: vals[:1] for key, vals in upper_image(problem, t).items()}
+
+    seen = Counter()
+
+    def compared(got, expected):
+        assert got == expected
+        seen[got[0] if isinstance(got, tuple) else "decided"] += 1
+        return got
+
+    for problem in problems:
+        problem = dataclasses.replace(problem, budget=rng.choice((10, 40, 500)))
+        horizon = problem.tree.horizon
+        v = {
+            t: compared(_outcome(value_sets, problem, t),
+                        _outcome(strategy_value_sets, problem, t))
+            for t in range(horizon + 1)
+        }
+        compared(_outcome(backward_value, problem),
+                 _outcome(per_model_backward_value, problem))
+        for t in range(horizon):
+            if isinstance(v[t + 1], dict):
+                compared(_outcome(one_step_R, problem, t, v[t + 1]),
+                         _outcome(per_model_one_step_sets, problem, t, v[t + 1]))
+        report = compared(_outcome(check_bellman, problem),
+                          _outcome(fraction_bellman_report, problem))
+        if problem.cone.kind == "componentwise":
+            for image in (upper_image, first_generators):
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "upper_image", image)
+                    got = compared(_outcome(check_upper_image_recursion, problem),
+                                   _outcome(pairwise_upper_image_report, problem))
+                seen["escapes"] += not isinstance(got, tuple) and sum(
+                    "escapes" in w for row in got.rows for w in row.witnesses
+                )
+        if not isinstance(report, tuple):
+            seen["equality"] += report.equality_ok
+            seen["failed"] += not report.strong_ok
+            seen["fraction"] += any(
+                x.denominator > 1
+                for lvl in report.v.values() for vals in lvl.values()
+                for p in vals for x in p
+            )
+    assert seen["decided"] > 250
+    assert seen["DeskScaleExceededError"] > 10 and seen["SupNotExistsError"] > 5
+    assert seen["equality"] > 20 and seen["failed"] > 5
+    assert seen["fraction"] > 30 and seen["escapes"] > 20
+
+
+def test_componentwise_kernel_takes_only_integers(monkeypatch):
+    # on the component-wise cone every expectation of V, B and R has int
+    # weights and int coordinates, and each level's scale is D_t times the
+    # next; the public sets are true-scale Fractions
+    rng = random.Random(149)
+    problems = _coprime_problems(rng, [Cone.componentwise(2)] * 24)
+    problems += [
+        parse_document(read_text(name)).problem
+        for name in ("binomial_tables.json", "binomial_tables_independent.json",
+                     "binomial_marginals.json")
+    ]
+    kinds = Counter()
+
+    def checked_expect(weights, points, _fn=engine.expect):
+        kinds[all(type(x) is int for x in weights)
+              and all(type(x) is int for p in points for x in p)] += 1
+        return _fn(weights, points)
+
+    monkeypatch.setattr(engine, "expect", checked_expect)
+    for problem in problems:
+        assert problem.cone.kind == "componentwise"
+        horizon = problem.tree.horizon
+        report = check_bellman(problem)
+        r = {t: one_step_R(problem, t, report.v[t + 1]) for t in range(horizon)}
+        scales = problem.scales
+        assert scales[horizon] == lcm(*(
+            x.denominator for key in problem.reachable[horizon]
+            for x in problem.terminal_loss_at(*key)
+        ))
+        for t in range(horizon):
+            assert scales[t] == problem.family.denominators[t] * scales[t + 1]
+        for sets in (report.v, report.b, report.r, r):
+            assert all(
+                type(x) is Fraction
+                for lvl in sets.values() for vals in lvl.values()
+                for p in vals for x in p
+            )
+    assert kinds[False] == 0 and kinds[True] > 500
+    # rows over 3, 5 and 7 and losses in halves and thirds give real scales
+    assert {3, 5, 7} <= {d for p in problems for d in p.family.denominators}
+    assert {2, 3, 6} <= {p.scales[-1] for p in problems}
