@@ -1,15 +1,21 @@
 """Exact linear algebra and linear programming over rationals.
 
-Everything in this module works on ``fractions.Fraction`` so that
-feasibility, rank and optimality decisions are exact.  Problem sizes are
-tiny (a handful of variables and constraints), so a dense tableau simplex
-with Bland's rule is entirely adequate.
+Values enter and leave this module as ``fractions.Fraction`` (or ``int``),
+so feasibility, rank and optimality decisions are exact.  Inside, the
+elimination and the simplex work fraction-free (Bareiss 1968, Edmonds
+1967): each row is a list of ``int``s, a positive multiple of the rational
+row, divided by its gcd after each update.  Signs, zero tests and ratios
+are those of the rational rows, and a value is divided out only where it
+is returned.  Problem sizes are tiny (a handful of variables and
+constraints), so a dense tableau simplex with Bland's rule is entirely
+adequate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -70,12 +76,39 @@ def vneg(a: Vec) -> Vec:
 
 
 # ---------------------------------------------------------------------------
+# Integer rows
+
+
+def _int_row(row: Sequence) -> tuple[list[int], int]:
+    """The rational row times the lcm of its denominators, and that lcm."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _reduced(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _combine(row: list[int], prow: list[int], c: int) -> list[int]:
+    """``prow[c] * row - row[c] * prow``, reduced: ``row`` with column c
+    eliminated, still a positive multiple of its rational row when
+    ``prow[c] > 0``."""
+    pv, f = prow[c], row[c]
+    return _reduced([pv * x - f * y for x, y in zip(row, prow)])
+
+
+# ---------------------------------------------------------------------------
 # Gaussian elimination
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The elimination runs on integer rows; each pivot row is divided by its
+    pivot once, at the end."""
+    m = [_int_row(r)[0] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -86,17 +119,17 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = _combine(m[i], prow, c)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    red += [[ZERO] * ncols for _ in range(len(m) - r)]
+    return red, pivots
 
 
 def mat_rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -154,17 +187,22 @@ class LPResult:
 
 
 def _pivot(tab, basis, r, c):
-    pv = tab[r][c]
-    tab[r] = [x / pv for x in tab[r]]
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+    """Make column c basic in row r: every other row loses column c.  The
+    pivot row is negated when its pivot is negative, so every row stays a
+    positive multiple of its rational row."""
+    if tab[r][c] < 0:
+        tab[r] = [-x for x in tab[r]]
+    prow = tab[r]
+    for i, row in enumerate(tab):
+        if i != r and row[c] != 0:
+            tab[i] = _combine(row, prow, c)
     basis[r] = c
 
 
 def _run_simplex(tab, basis, m, ncols, allowed) -> str:
-    """Minimise the cost row (last row) with Bland's rule."""
+    """Minimise the cost row (last row) with Bland's rule.  The leaving row
+    has the least ratio rhs / entry, compared by cross-multiplication, and
+    then the least basis index."""
     while True:
         cost = tab[m]
         enter = next(
@@ -172,15 +210,16 @@ def _run_simplex(tab, basis, m, ncols, allowed) -> str:
         )
         if enter is None:
             return "optimal"
-        ratios = [
-            (tab[i][ncols] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        if not ratios:
+        best = None  # (rhs, entry, basis index, row)
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                rhs = tab[i][ncols]
+                if best is None or (rhs * best[1], basis[i]) < (best[0] * a, best[2]):
+                    best = (rhs, a, basis[i], i)
+        if best is None:
             return "unbounded"
-        _, _, leave = min(ratios)
-        _pivot(tab, basis, leave, enter)
+        _pivot(tab, basis, best[3], enter)
 
 
 def lp_standard(
@@ -191,27 +230,23 @@ def lp_standard(
     """min c.x subject to A x = b, x >= 0 (two-phase simplex, exact)."""
     m = len(a)
     n = len(c)
-    rows = [list(r) for r in a]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
     total = n + m  # artificials appended
-    tab = [
-        rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]]
-        for i in range(m)
-    ]
+    tab = []
+    scales = []
+    for i, (row, rhs) in enumerate(zip(a, b)):
+        ints, scale = _int_row([*row, rhs])
+        if rhs < 0:
+            ints = [-x for x in ints]
+        # artificial i has the rational coefficient 1 in row i
+        tab.append(ints[:n] + [scale if j == i else 0 for j in range(m)] + ints[n:])
+        scales.append(scale)
     basis = [n + i for i in range(m)]
-    # phase-1 cost row: minimise sum of artificials
-    cost = [ZERO] * (total + 1)
-    for i in range(m):
-        for j in range(total + 1):
-            cost[j] -= tab[i][j]
-    for j in range(n, total):
-        cost[j] += ONE
-    tab.append(cost)
+    # phase-1 cost row: minimise sum of artificials, that is minus the sum
+    # of the rational rows outside the artificial columns
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    sums = [-sum(w * row[j] for w, row in zip(weights, tab)) for j in [*range(n), total]]
+    tab.append(_reduced(sums[:n] + [0] * m + sums[n:]))
     allowed = [True] * total
     status = _run_simplex(tab, basis, m, total, allowed)
     assert status == "optimal"  # phase 1 is bounded below by 0
@@ -227,12 +262,11 @@ def lp_standard(
 
     # phase 2
     allowed = [j < n for j in range(total)]
-    cost = list(c) + [ZERO] * (m + 1)
+    cost = _int_row([*c, *[0] * (m + 1)])[0]
     for i in range(m):
         bj = basis[i]
         if bj < n and cost[bj] != 0:
-            f = cost[bj]
-            cost = [x - f * y for x, y in zip(cost, tab[i])]
+            cost = _combine(cost, tab[i], bj)
     tab[m] = cost
     status = _run_simplex(tab, basis, m, total, allowed)
     if status == "unbounded":
@@ -240,7 +274,7 @@ def lp_standard(
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][total]
+            x[basis[i]] = Fraction(tab[i][total], tab[i][basis[i]])
     val = dot(c, x)
     return LPResult("optimal", tuple(x), val)
 
@@ -300,13 +334,12 @@ def polyhedron_vertices(
         return []
     d = len(b_rows[0])
     seen: list[Vec] = []
+    square = list(range(d))
     for idx in combinations(range(len(b_rows)), d):
-        sub = [b_rows[i] for i in idx]
-        if mat_rank(sub) < d:
+        red, pivots = rref([[*b_rows[i], alpha[i]] for i in idx])
+        if pivots != square:  # the d rows are linearly dependent
             continue
-        y = solve_linear(sub, [alpha[i] for i in idx], d)
-        if y is None:
-            continue
+        y = tuple(row[d] for row in red)
         if all(dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))):
             if y not in seen:
                 seen.append(y)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from typing import Optional, Sequence
 
@@ -48,8 +48,12 @@ from robust_vdp.engine import (
     _sup_or_raise,
 )
 from robust_vdp.exactlp import (
+    ONE,
+    ZERO,
+    LPResult,
     dot,
     lp,
+    mat_rank,
     nullspace_basis,
     polyhedron_vertices,
     rref,
@@ -324,6 +328,150 @@ def at_level_scales(one_step):
         }
 
     return scaled
+
+
+# ---------------------------------------------------------------------------
+# Fraction linear algebra: the elimination and the simplex on rational rows
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form by ``Fraction`` row operations; returns
+    (matrix, pivot column indices), a drop-in for ``exactlp.rref``."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _fraction_pivot(tab, basis, r, c):
+    pv = tab[r][c]
+    tab[r] = [x / pv for x in tab[r]]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            f = tab[i][c]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[r])]
+    basis[r] = c
+
+
+def _fraction_run_simplex(tab, basis, m, ncols, allowed, pivots) -> str:
+    """Minimise the cost row (last row) with Bland's rule, appending each
+    ``(leave, enter)`` pivot to ``pivots``."""
+    while True:
+        cost = tab[m]
+        enter = next(
+            (j for j in range(ncols) if allowed[j] and cost[j] < 0), None
+        )
+        if enter is None:
+            return "optimal"
+        ratios = [
+            (tab[i][ncols] / tab[i][enter], basis[i], i)
+            for i in range(m)
+            if tab[i][enter] > 0
+        ]
+        if not ratios:
+            return "unbounded"
+        _, _, leave = min(ratios)
+        pivots.append((leave, enter))
+        _fraction_pivot(tab, basis, leave, enter)
+
+
+def fraction_lp_standard(a, b, c) -> tuple[LPResult, list[tuple[int, int]]]:
+    """min c.x subject to A x = b, x >= 0 by the two-phase simplex on a
+    ``Fraction`` tableau, and the ``(leave, enter)`` pivots it made (the
+    drive-out pivots included), in order."""
+    m = len(a)
+    n = len(c)
+    rows = [list(r) for r in a]
+    rhs = list(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+
+    total = n + m  # artificials appended
+    tab = [
+        rows[i] + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+    pivots = []
+    # phase-1 cost row: minimise sum of artificials
+    cost = [ZERO] * (total + 1)
+    for i in range(m):
+        for j in range(total + 1):
+            cost[j] -= tab[i][j]
+    for j in range(n, total):
+        cost[j] += ONE
+    tab.append(cost)
+    allowed = [True] * total
+    status = _fraction_run_simplex(tab, basis, m, total, allowed, pivots)
+    assert status == "optimal"  # phase 1 is bounded below by 0
+    if tab[m][total] != 0:  # -objective stored; nonzero => infeasible
+        return LPResult("infeasible"), pivots
+
+    # drive artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is not None:
+                pivots.append((i, col))
+                _fraction_pivot(tab, basis, i, col)
+
+    # phase 2
+    allowed = [j < n for j in range(total)]
+    cost = list(c) + [ZERO] * (m + 1)
+    for i in range(m):
+        bj = basis[i]
+        if bj < n and cost[bj] != 0:
+            f = cost[bj]
+            cost = [x - f * y for x, y in zip(cost, tab[i])]
+    tab[m] = cost
+    status = _fraction_run_simplex(tab, basis, m, total, allowed, pivots)
+    if status == "unbounded":
+        return LPResult("unbounded"), pivots
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+    return LPResult("optimal", tuple(x), dot(c, x)), pivots
+
+
+def two_step_polyhedron_vertices(b_rows, alpha) -> list:
+    """``polyhedron_vertices`` with a rank test and then a solve on every
+    d-subset of the rows: two eliminations per vertex candidate."""
+    if not b_rows:
+        return []
+    d = len(b_rows[0])
+    seen = []
+    for idx in combinations(range(len(b_rows)), d):
+        sub = [b_rows[i] for i in idx]
+        if mat_rank(sub) < d:
+            continue
+        y = solve_linear(sub, [alpha[i] for i in idx], d)
+        if y is None:
+            continue
+        if all(dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))):
+            if y not in seen:
+                seen.append(y)
+    return seen
 
 
 def _beta_pivot_solution(b_rows, rhs):

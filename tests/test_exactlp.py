@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from robust_vdp import NOT_EXISTS, vsup
+from robust_vdp import exactlp
+from robust_vdp.data import read_text
 from robust_vdp.exactlp import (
     Vec,
     dot,
@@ -17,8 +21,18 @@ from robust_vdp.exactlp import (
     solve_linear,
     vec,
 )
+from robust_vdp.instance import _parse_cone
+
+from .oracles import (
+    fraction_lp_standard,
+    fraction_rref,
+    two_step_polyhedron_vertices,
+)
 
 F = Fraction
+
+#: pairwise coprime denominators, so the integer rows' scales differ
+COPRIME = (1, 2, 3, 5, 7)
 
 
 def test_frac_accepts_ints_and_ratio_strings():
@@ -155,6 +169,187 @@ def test_lp_agrees_with_vertex_enumeration_randomized():
             continue
         assert res.status == "optimal"
         assert res.value == min(dot(c, v) for v in verts)
+
+
+def _rational(rng, lo=-6, hi=6):
+    return F(rng.randint(lo, hi), rng.choice(COPRIME))
+
+
+def _combination(rng, rows):
+    """A rational combination of the rows (a dependent row)."""
+    weights = [_rational(rng, -2, 2) for _ in rows]
+    return [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(len(rows[0]))]
+
+
+def _random_system(rng):
+    """Rows over coprime denominators, about half of them rank-deficient
+    (a dependent row or a zero column), with a right-hand side."""
+    n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[_rational(rng) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and rng.random() < 0.5:
+        rows[-1] = _combination(rng, rows[:-1])
+    if rng.random() < 0.2:
+        zero = rng.randrange(n_cols)
+        for r in rows:
+            r[zero] = F(0)
+    rng.shuffle(rows)
+    return rows, [_rational(rng) for _ in rows]
+
+
+def test_rref_and_solve_linear_equal_fraction_oracle(monkeypatch):
+    rng = random.Random(14)
+    systems = [_random_system(rng) for _ in range(300)]
+    integer = []
+    for a, b in systems:
+        n = len(a[0])
+        red, pivots = rref(a)
+        assert all(type(x) is Fraction for row in red for x in row)
+        integer.append((
+            red, pivots, rref([r + [x] for r, x in zip(a, b)]), mat_rank(a),
+            solve_linear(a, b, n), nullspace_basis(a, n),
+        ))
+    monkeypatch.setattr(exactlp, "rref", fraction_rref)
+    oracle = [
+        (*fraction_rref(a), fraction_rref([r + [x] for r, x in zip(a, b)]),
+         mat_rank(a), solve_linear(a, b, len(a[0])), nullspace_basis(a, len(a[0])))
+        for a, b in systems
+    ]
+    assert integer == oracle
+    ranks = [mat_rank(a) for a, _ in systems]
+    deficient = sum(rank < min(len(a), len(a[0])) for rank, (a, _) in zip(ranks, systems))
+    inconsistent = sum(solve_linear(a, b, len(a[0])) is None for a, b in systems)
+    assert deficient >= 50 and inconsistent >= 20
+
+
+def _record_pivots(monkeypatch):
+    """Wrap ``exactlp._pivot``: record each (row, column), check that every
+    tableau entry is an int, and count simplex pivots whose least ratio is
+    tied (drive-out pivots have no negative reduced cost)."""
+    real = exactlp._pivot
+    seen = {"pivots": [], "ties": 0}
+
+    def pivot(tab, basis, r, c):
+        assert all(type(x) is int for row in tab for x in row)
+        if tab[-1][c] < 0:
+            ratios = [F(row[-1], row[c]) for row in tab[:-1] if row[c] > 0]
+            seen["ties"] += ratios.count(min(ratios)) > 1
+        seen["pivots"].append((r, c))
+        real(tab, basis, r, c)
+
+    monkeypatch.setattr(exactlp, "_pivot", pivot)
+    return seen
+
+
+def _fraction_simplex(monkeypatch) -> list:
+    """Route ``exactlp.lp_standard`` (so ``lp`` and ``Cone.contains``)
+    through the Fraction oracle; returns the list its pivots go to."""
+    pivots = []
+
+    def oracle(a, b, c):
+        res, made = fraction_lp_standard(a, b, c)
+        pivots.extend(made)
+        return res
+
+    monkeypatch.setattr(exactlp, "lp_standard", oracle)
+    return pivots
+
+
+def _result(res):
+    return res.status, res.x, res.value
+
+
+#: Beale's LP, which cycles under Dantzig's rule; ratios tie at 0
+BEALE = (
+    [[F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
+     [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
+     [F(0), F(0), F(1), F(0), F(0), F(0), F(1)]],
+    [F(0), F(0), F(1)],
+    [F(-3, 4), F(20), F(-1, 2), F(6), F(0), F(0), F(0)],
+)
+
+
+def _random_standard_lp(rng):
+    """min c.x, A x = b, x >= 0 over coprime denominators: degenerate right
+    sides (ties), repeated and contradictory equality rows, free directions."""
+    m, n = rng.randint(1, 4), rng.randint(1, 5)
+    a = [[_rational(rng, -4, 4) for _ in range(n)] for _ in range(m)]
+    b = [F(0) if rng.random() < 0.4 else _rational(rng) for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:  # a repeated row: an artificial stays
+        a[-1], b[-1] = list(a[0]), b[0]
+    elif m > 1 and rng.random() < 0.2:  # the same row, another right side
+        a[-1], b[-1] = list(a[0]), b[0] + 1
+    return a, b, [_rational(rng, -4, 4) for _ in range(n)]
+
+
+def test_simplex_equals_fraction_oracle(monkeypatch):
+    rng = random.Random(1968)
+    lps = [BEALE] + [_random_standard_lp(rng) for _ in range(400)]
+    seen = _record_pivots(monkeypatch)
+    statuses = []
+    for a, b, c in lps:
+        seen["pivots"].clear()
+        res = lp_standard(a, b, c)
+        expected, oracle_pivots = fraction_lp_standard(a, b, c)
+        assert _result(res) == _result(expected)
+        assert seen["pivots"] == oracle_pivots
+        statuses.append(res.status)
+    assert lp_standard(*BEALE).value == F(-5, 4)
+    assert all(statuses.count(s) >= 40 for s in ("optimal", "infeasible", "unbounded"))
+    assert seen["ties"] >= 40
+
+
+def test_lp_over_free_variables_equals_fraction_oracle(monkeypatch):
+    rng = random.Random(1967)
+    problems = []
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        a_ge = [[_rational(rng, -3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        a_eq = [[_rational(rng, -3, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        problems.append((
+            [_rational(rng, -3, 3) for _ in range(n)],
+            a_ge, [_rational(rng) for _ in a_ge], a_eq, [_rational(rng) for _ in a_eq],
+        ))
+    seen = _record_pivots(monkeypatch)
+    integer = [_result(lp(*p)) for p in problems]
+    integer_pivots = list(seen["pivots"])
+    oracle_pivots = _fraction_simplex(monkeypatch)
+    assert integer == [_result(lp(*p)) for p in problems]
+    assert integer_pivots == oracle_pivots
+    assert all(any(r[0] == s for r in integer) for s in ("optimal", "infeasible", "unbounded"))
+
+
+def test_no_supremum_pivots_on_integer_rows(monkeypatch):
+    """The roof cone on points without a supremum runs the chained LPs of
+    the non-existence certificate; every pivot sees an integer tableau and
+    the pivots are the Fraction simplex's, one for one."""
+    points = [vec(p) for p in json.loads(read_text("points_no_sup.json"))]
+
+    def roof():
+        return _parse_cone(json.loads(read_text("cone_roof3d.json")), 3, "/")
+
+    seen = _record_pivots(monkeypatch)
+    result = vsup(roof(), points)
+    assert result.status == NOT_EXISTS and result.candidate is not None
+    oracle_pivots = _fraction_simplex(monkeypatch)
+    assert vsup(roof(), points) == result
+    assert len(seen["pivots"]) == len(oracle_pivots) > 0
+    assert seen["pivots"] == oracle_pivots
+
+
+def test_polyhedron_vertices_equal_two_step_oracle():
+    rng = random.Random(611)
+    found = 0
+    for _ in range(150):
+        d = rng.randint(2, 3)
+        b_rows = [vec(_rational(rng, -3, 3) for _ in range(d))
+                  for _ in range(rng.randint(d, d + 4))]
+        if rng.random() < 0.5:  # a parallel row: dependent d-subsets
+            b_rows.append(tuple(2 * x for x in rng.choice(b_rows)))
+        alpha = [_rational(rng, -4, 1) for _ in b_rows]
+        vertices = polyhedron_vertices(b_rows, alpha)
+        assert vertices == two_step_polyhedron_vertices(b_rows, alpha)
+        found += len(vertices)
+    assert found >= 300
 
 
 try:
