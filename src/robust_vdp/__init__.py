@@ -12,8 +12,6 @@ from .cones import (
     GENERATORS,
     HALFSPACE,
     Cone,
-    DimensionMismatchError,
-    RepresentationError,
     minimal_elements,
 )
 from .engine import (
@@ -30,14 +28,15 @@ from .engine import (
     check_upper_image_recursion,
     enumerate_strategies,
     one_step_R,
-    prune_pareto,
     upper_image,
     value_sets,
 )
 from .errors import (
     DeskScaleExceededError,
+    DimensionMismatchError,
     DualNotLIError,
     InstanceError,
+    RepresentationError,
     SupNotExistsError,
     UnsupportedConeError,
 )
@@ -45,7 +44,6 @@ from .instance import (
     Options,
     ParsedInstance,
     parse_document,
-    parse_instance,
     serialize_instance,
 )
 from .rectangularity import (
@@ -74,7 +72,6 @@ from .trees import (
     ModelFamily,
     ScenarioTree,
     cond_expect,
-    constant_adapted,
     leq_t,
     vsup_adapted,
 )
@@ -120,7 +117,6 @@ __all__ = [
     "check_upper_image_recursion",
     "compute_results",
     "cond_expect",
-    "constant_adapted",
     "emit_bellman",
     "emit_tables",
     "enumerate_strategies",
@@ -130,8 +126,6 @@ __all__ = [
     "minimal_elements",
     "one_step_R",
     "parse_document",
-    "parse_instance",
-    "prune_pareto",
     "random_terminal_vectors",
     "rectangularize",
     "serialize_instance",

@@ -14,12 +14,13 @@ import sys
 from contextlib import contextmanager
 from typing import Optional
 
-from .cones import DimensionMismatchError, RepresentationError
 from .engine import upper_image
 from .errors import (
     DeskScaleExceededError,
+    DimensionMismatchError,
     DualNotLIError,
     InstanceError,
+    RepresentationError,
     SupNotExistsError,
     UnsupportedConeError,
 )

@@ -24,13 +24,14 @@ from functools import cached_property
 from operator import ge, le
 from typing import Iterable, Iterator, Optional
 
+from .errors import DimensionMismatchError, RepresentationError, UnsupportedConeError
 from .exactlp import (
     ONE,
     ZERO,
     Vec,
     dot,
     exact,
-    feasible_point,
+    lp_standard,
     mat_rank,
     vec,
     vneg,
@@ -41,14 +42,6 @@ COMPONENTWISE = "componentwise"
 HALFSPACE = "halfspace"
 DUAL = "dual"
 GENERATORS = "generators"
-
-
-class DimensionMismatchError(ValueError):
-    pass
-
-
-class RepresentationError(ValueError):
-    """The operation needs a cone representation that was not supplied."""
 
 
 def _basis(d: int) -> tuple[Vec, ...]:
@@ -149,8 +142,6 @@ class Cone:
             return all(c == 0 for c in xv)
         # columns are generators; solve G lambda = x, lambda >= 0
         a = [[g[i] for g in gens] for i in range(self.dim)]
-        from .exactlp import lp_standard
-
         res = lp_standard(a, list(xv), [ZERO] * len(gens))
         return res.status == "optimal"
 
@@ -192,16 +183,6 @@ class Cone:
                 return False
         return True
 
-    def is_solid(self) -> bool:
-        """True iff C has nonempty interior."""
-        if self.duals is not None:
-            # exists x with <b_i, x> >= 1 for all i (scale invariance)
-            return (
-                feasible_point(a_ge=list(self.duals), b_ge=[ONE] * len(self.duals))
-                is not None
-            )
-        return mat_rank(self.generators) == self.dim
-
     # -- set order relations -------------------------------------------------
 
     def _image(self, x: Vec) -> tuple:
@@ -215,24 +196,24 @@ class Cone:
         points: Iterable[Iterable],
         others: Iterable[Iterable],
         below: bool = False,
-        strict: bool = False,
     ) -> Iterator[Vec]:
         """Each point of ``points``, in order, that lies outside
         ``others + C`` (outside ``others - C`` when ``below``), i.e. above
-        (below) no point of ``others``.  With ``strict`` (meant for pointed
-        cones, where equal images are equal points) a point is not covered
-        by an equal one.  Every point is coerced (``exact``) and checked for
-        the cone's dimension before the first one is yielded."""
+        (below) no point of ``others``.  Every point is coerced (``exact``)
+        and checked for the cone's dimension before the first one is
+        yielded."""
         pts = [exact(x) for x in points]
         oth = [exact(y) for y in others]
         for x in pts + oth:
             self._check_dim(x)
-        return self._uncovered(pts, oth, below, strict)
+        return self._uncovered(pts, oth, below, strict=False)
 
     def _uncovered(
         self, pts: list[Vec], oth: list[Vec], below: bool, strict: bool
     ) -> Iterator[Vec]:
-        """``uncovered`` on points already coerced and checked."""
+        """``uncovered`` on points already coerced and checked.  With
+        ``strict`` (meant for pointed cones, where equal images are equal
+        points) a point is not covered by an equal one."""
         if self.duals is None:
             for x in pts:
                 if not any(
@@ -273,8 +254,6 @@ def minimal_elements(points: Iterable[Iterable], cone: Cone) -> list[Vec]:
     is unambiguous; its dual image map is one-to-one, so distinct points
     have distinct images.
     """
-    from .errors import UnsupportedConeError
-
     if not cone.is_pointed():
         raise UnsupportedConeError("minimal elements need a pointed cone")
     pts = list(dict.fromkeys(exact(x) for x in points))

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm, prod
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .cones import COMPONENTWISE, Cone, minimal_elements
 from .errors import (
@@ -351,12 +351,6 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
         ))
         for (node, state), profs in levels[t].items()
     }, problem.scales[t])
-
-
-def prune_pareto(points: Iterable[Vec], cone: Cone) -> tuple[Vec, ...]:
-    """Drop every point dominated by another point of the set.  Needs a
-    pointed cone; preserves the weak set inclusions but not raw equality."""
-    return tuple(minimal_elements(points, cone))
 
 
 def _one_step_sets(

@@ -17,6 +17,14 @@ class DualNotLIError(ValueError):
     """Dual generators are linearly dependent."""
 
 
+class DimensionMismatchError(ValueError):
+    """A vector or representation has the wrong dimension."""
+
+
+class RepresentationError(ValueError):
+    """The operation needs a cone representation that was not supplied."""
+
+
 class InstanceError(ValueError):
     """Invalid instance document; carries a path into the document."""
 

@@ -308,17 +308,6 @@ def lp(
     return LPResult("optimal", x, res.value)
 
 
-def feasible_point(
-    a_ge: Sequence[Sequence[Fraction]] = (),
-    b_ge: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
-) -> Optional[Vec]:
-    n = len(a_ge[0]) if a_ge else (len(a_eq[0]) if a_eq else 0)
-    res = lp([ZERO] * n, a_ge, b_ge, a_eq, b_eq)
-    return res.x if res.status == "optimal" else None
-
-
 # ---------------------------------------------------------------------------
 # Polyhedra of the form {y : B y >= alpha}
 

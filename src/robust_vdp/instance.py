@@ -180,6 +180,9 @@ def _parse_tree(doc, path: str) -> ScenarioTree:
     ):
         raise InstanceError(f"{path}/labels", "expected an object of names")
     known = {n for level in levels for n in level}
+    for n in labels:
+        if n not in known:
+            raise InstanceError(f"{path}/labels/{n}", "dangling node reference")
     terminal = set(levels[-1]) if len(levels) > 1 else set()
     for n, kids in children.items():
         if n not in known:
@@ -281,8 +284,13 @@ def _parse_problem(doc, tree, family, cone, budget, path: str) -> ControlledProb
                 ctrls = _names_at(_require(row, "controls", rp), f"{rp}/controls")
                 if not ctrls:
                     raise InstanceError(rp, "empty control set")
-                key = (_require(row, "time", rp, int), _require(row, "state", rp, str))
-                admissible[key] = ctrls
+                dup = next((a for i, a in enumerate(ctrls) if a in ctrls[:i]), None)
+                if dup is not None:
+                    raise InstanceError(f"{rp}/controls", f"duplicate control {dup!r}")
+                t, s = _require(row, "time", rp, int), _require(row, "state", rp, str)
+                if (t, s) in admissible:
+                    raise InstanceError(rp, f"duplicate row for (t={t}, {s!r})")
+                admissible[t, s] = ctrls
             tr_doc = _require(doc, "transition", path)
             if not isinstance(tr_doc, list):
                 raise InstanceError(f"{path}/transition", "expected a list")
@@ -295,6 +303,8 @@ def _parse_problem(doc, tree, family, cone, budget, path: str) -> ControlledProb
                     _require(row, "control", rp, str),
                     _require(row, "label", rp, str),
                 )
+                if key in transition:
+                    raise InstanceError(rp, f"duplicate row for {key}")
                 transition[key] = _require(row, "next", rp, str)
             loss_doc = _require(doc, "loss", path)
             if not isinstance(loss_doc, dict) or not loss_doc:
@@ -354,11 +364,6 @@ def parse_document(text: str, budget: Optional[int] = None) -> ParsedInstance:
     return ParsedInstance(
         problem=problem, options=Options(budget=doc_budget, prune=prune, seed=seed)
     )
-
-
-def parse_instance(text: str) -> ControlledProblem:
-    """Parse an instance document and return the validated problem."""
-    return parse_document(text).problem
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
 from .errors import SupNotExistsError
-from .exactlp import Vec
 from .trees import AdaptedVector, Model, ModelFamily, ScenarioTree
 
 #: per non-terminal node, the candidate transition vectors
@@ -64,8 +63,6 @@ class RectCheckRecord:
     #: direct precedes nested (must always hold)
     reverse_holds: Optional[bool]
     equality: Optional[bool]
-    nested_root: Optional[Vec] = None
-    direct_root: Optional[Vec] = None
     sup_failure: Optional[str] = None
 
 
@@ -176,17 +173,14 @@ def check_preorder_rectangularity(
                     RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
                 )
                 continue
-            # each set holds the one value of the one strategy; the root first
+            # each set holds the one value of the one strategy
             pairs = [(nested[k][0], direct[t][k][0]) for k in problem.reachable[t]]
-            nv, dv = pairs[0]
             records.append(
                 RectCheckRecord(
                     idx, t,
                     all(cone.leq(n, d) for n, d in pairs),
                     all(cone.leq(d, n) for n, d in pairs),
                     all(n == d for n, d in pairs) if pointed else None,
-                    nested_root=nv if t == 0 else None,
-                    direct_root=dv if t == 0 else None,
                 )
             )
     return RectReport(

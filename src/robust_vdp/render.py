@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .cones import minimal_elements
 from .engine import (
     TAB_ROOT_STATE,
     TABULATED,
@@ -19,7 +20,6 @@ from .engine import (
     ControlledProblem,
     LevelSets,
     check_bellman,
-    prune_pareto,
 )
 from .exactlp import Vec
 from .trees import cond_expect, AdaptedVector
@@ -75,8 +75,10 @@ def compute_results(problem: ControlledProblem, prune: bool = False) -> SolveRes
     report = check_bellman(problem)
     b = report.b
     if prune:
+        # pruning needs a pointed cone; it keeps the weak set inclusions but
+        # not raw equality
         b = {
-            t: {key: prune_pareto(vals, problem.cone) for key, vals in lvl.items()}
+            t: {k: tuple(minimal_elements(v, problem.cone)) for k, v in lvl.items()}
             for t, lvl in b.items()
         }
     return SolveResults(report=report, b=b)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .cones import COMPONENTWISE, Cone, RepresentationError
-from .errors import DeskScaleExceededError, DualNotLIError
+from .cones import COMPONENTWISE, Cone
+from .errors import DeskScaleExceededError, DualNotLIError, RepresentationError
 from .exactlp import (
     Vec,
     dot,
@@ -28,8 +28,8 @@ UNIQUE = "unique"
 NON_UNIQUE = "non_unique"
 NOT_EXISTS = "not_exists"
 
-#: vsup_general refuses above this dimension / dual count rather than
-#: risking an inexact shortcut.
+#: vsup_general refuses above this dimension / dual count: the certificate's
+#: ``polyhedron_vertices`` makes one elimination per d-subset of the rows.
 MAX_GENERAL_DIM = 4
 MAX_GENERAL_DUALS = 16
 

@@ -15,7 +15,8 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .cones import Cone, DimensionMismatchError
+from .cones import Cone
+from .errors import DimensionMismatchError
 from .exactlp import Vec, vec
 from .suprema import NON_UNIQUE, NOT_EXISTS, UNIQUE, SupResult, vsup
 
@@ -73,21 +74,8 @@ class ScenarioTree:
         """The non-terminal nodes, level by level (times 0..T-1)."""
         return tuple(n for level in self.levels[:-1] for n in level)
 
-    def time_of(self, node: str) -> int:
-        for t, level in enumerate(self.levels):
-            if node in level:
-                return t
-        raise KeyError(node)
-
     def label(self, child: str) -> str:
         return self.labels.get(child, child)
-
-    def leaves_below(self, node: str) -> list[str]:
-        t = self.time_of(node)
-        frontier = [node]
-        for _ in range(t, self.horizon):
-            frontier = [c for n in frontier for c in self.children[n]]
-        return frontier
 
 
 @dataclass(frozen=True)
@@ -163,12 +151,6 @@ class ModelFamily:
                 }
                 out[n] = tuple(scaled[tuple(m.transition[n])] for m in self.models)
         return out
-
-    def by_id(self, model_id: str) -> Model:
-        for m in self.models:
-            if m.id == model_id:
-                return m
-        raise KeyError(model_id)
 
 
 @dataclass(frozen=True)
@@ -280,8 +262,3 @@ def vsup_adapted(cone: Cone, xs: Iterable[AdaptedVector]) -> AdaptedSupResult:
         )
         return AdaptedSupResult(NON_UNIQUE, value=value, alternative=alt)
     return AdaptedSupResult(UNIQUE, value=value)
-
-
-def constant_adapted(tree: ScenarioTree, t: int, v: Iterable) -> AdaptedVector:
-    vv = vec(v)
-    return AdaptedVector(t, {n: vv for n in tree.nodes_at(t)})

@@ -34,8 +34,8 @@ from robust_vdp import (
     cond_expect,
     is_m_rectangular,
     leq_t,
+    minimal_elements,
     one_step_R,
-    prune_pareto,
     vsup,
     vsup_adapted,
 )
@@ -125,7 +125,7 @@ def stepwise_pruned_backward(problem: ControlledProblem) -> dict:
     out = {horizon: level}
     for t in range(horizon - 1, -1, -1):
         level = {
-            key: prune_pareto(vals, problem.cone)
+            key: tuple(minimal_elements(vals, problem.cone))
             for key, vals in one_step_R(problem, t, level).items()
         }
         out[t] = level
@@ -635,8 +635,6 @@ def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> Rec
                 leq_t(cone, nested.value, direct.value),
                 leq_t(cone, direct.value, nested.value),
                 (nested.value.values == direct.value.values) if pointed else None,
-                nested_root=nested.value.at(tree.root) if t == 0 else None,
-                direct_root=direct.value.at(tree.root) if t == 0 else None,
             ))
     return RectReport(
         records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed

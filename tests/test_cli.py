@@ -324,6 +324,31 @@ def test_missing_reachable_dynamics_entry_is_an_input_error(
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("part, message", [
+    ("controls", "/problem/admissible/0/controls: duplicate control 'a'"),
+    ("admissible", "/problem/admissible/6: duplicate row for (t=0, 's0')"),
+    ("transition", "/problem/transition/24: duplicate row for (0, 's0', 'a', 'up')"),
+])
+def test_repeated_dynamics_entry_is_an_input_error(tmp_path, capsys, part, message):
+    doc = _dynamics_doc()
+    problem = doc["problem"]
+    problem["admissible"][0]["controls"] = ["a"]  # 4 strategies at the root
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(doc))
+    assert run(capsys, "solve", "--budget", "5", "--instance", str(instance))[0] == 0
+    # a repeated control, or a later row for the same key with other contents
+    if part == "controls":
+        problem["admissible"][0]["controls"] = ["a", "a"]
+    elif part == "admissible":
+        problem["admissible"].append(dict(problem["admissible"][0], controls=["b"]))
+    else:
+        problem["transition"].append(dict(problem["transition"][0], next="s2"))
+    instance.write_text(json.dumps(doc))
+    for argv in (["solve", "--budget", "5"], ["check-bellman"]):
+        code, out, err = run(capsys, *argv, "--instance", str(instance))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):
     from robust_vdp import engine
 
@@ -442,6 +467,16 @@ def test_tree_horizon_is_a_positive_integer(tmp_path, capsys, horizon):
     )
 
 
+def test_tree_label_keys_are_nodes(tmp_path, capsys):
+    def edit(doc):
+        doc["tree"]["labels"] = {"zz": "x"}
+
+    code, out, err = _solve_doc(tmp_path, capsys, "binomial_tables.json", edit)
+    assert (code, out, err) == (
+        2, "", "error: /tree/labels/zz: dangling node reference\n"
+    )
+
+
 @pytest.mark.parametrize("cone_doc", [
     {"kind": "halfspace", "w": [1, 1]}, {"kind": "componentwise"},
 ])
@@ -467,3 +502,30 @@ def test_rect_test_vectors_report_no_seed(tmp_path, capsys, seed):
     assert json.loads(out)["summary"] == (
         "no counterexample found among 1 test vectors (1 (vector, time) checks)"
     )
+
+
+def _unit_rows(d: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+@pytest.mark.parametrize("rows", [
+    _unit_rows(5) + [[1, 1, 0, 0, 0]],  # d = 5, six dependent rows
+    _unit_rows(3) + [[1, k, 1] for k in range(1, 15)],  # d = 3, 17 rows
+])
+def test_general_supremum_refuses_large_cones(tmp_path, capsys, rows):
+    d = len(rows[0])
+    cone, points = _vsup_files(
+        tmp_path, {"kind": "dual", "b": rows}, [[1] * d, [0] * d]
+    )
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    assert (code, out, err) == (3, "", (
+        "error: vsup_general is limited to dimension <= 4 "
+        "and <= 16 dual inequalities\n"
+    ))
+
+
+def test_independent_duals_take_no_size_limit(tmp_path, capsys):
+    points_doc = [[1, 0, 2, 0, 0], [0, 1, 0, 0, 3]]
+    cone, points = _vsup_files(tmp_path, {"kind": "dual", "b": _unit_rows(5)}, points_doc)
+    code, out, err = run(capsys, "vsup", "--cone", cone, "--points", points)
+    assert (code, out, err) == (0, "status: unique\nvalue: (1,1,2,0,3)\n", "")

@@ -42,7 +42,6 @@ def test_halfspace_membership():
     assert c.contains((-2, 1))
     assert not c.contains((-3, 1))
     assert not c.is_pointed()
-    assert c.is_solid()
 
 
 def test_dimension_checks():
@@ -80,22 +79,14 @@ def test_roof_representations_agree(roof):
         assert roof.contains(x) == gens_only.contains(x)
 
 
-def test_roof_pointed_and_solid(roof):
+def test_roof_pointed(roof):
     assert roof.is_pointed()
-    assert roof.is_solid()
-    gens_only = Cone.from_generators(roof.generators)
-    assert gens_only.is_pointed()
-    assert gens_only.is_solid()
+    assert Cone.from_generators(roof.generators).is_pointed()
 
 
 def test_pointedness_of_halfplane_generators():
     c = Cone.from_generators([(1, 0), (-1, 0), (0, 1)])
     assert not c.is_pointed()
-
-
-def test_not_solid_cone():
-    c = Cone.from_duals([(1, 0), (-1, 0)])  # the y-axis
-    assert not c.is_solid()
 
 
 def test_order_axioms_randomized():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from robust_vdp import NOT_EXISTS, vsup
-from robust_vdp import exactlp
+from robust_vdp import cones, exactlp
 from robust_vdp.data import read_text
 from robust_vdp.exactlp import (
     Vec,
     dot,
-    feasible_point,
     frac,
     lp,
     lp_standard,
@@ -128,11 +127,11 @@ def test_lp_with_equalities():
 
 
 def test_feasible_point():
-    p = feasible_point(a_ge=[vec([1, 0]), vec([0, 1])], b_ge=[F(1), F(1)])
-    assert p is not None
-    assert p[0] >= 1 and p[1] >= 1
-    none = feasible_point(a_ge=[vec([1]), vec([-1])], b_ge=[F(1), F(1)])
-    assert none is None
+    res = lp([F(0), F(0)], a_ge=[vec([1, 0]), vec([0, 1])], b_ge=[F(1), F(1)])
+    assert res.status == "optimal"
+    assert res.x[0] >= 1 and res.x[1] >= 1
+    res = lp([F(0)], a_ge=[vec([1]), vec([-1])], b_ge=[F(1), F(1)])
+    assert res.status == "infeasible"
 
 
 def test_polyhedron_vertices_square():
@@ -241,8 +240,9 @@ def _record_pivots(monkeypatch):
 
 
 def _fraction_simplex(monkeypatch) -> list:
-    """Route ``exactlp.lp_standard`` (so ``lp`` and ``Cone.contains``)
-    through the Fraction oracle; returns the list its pivots go to."""
+    """Route ``lp_standard`` (in ``exactlp``, so ``lp``, and in ``cones``,
+    so ``Cone.contains``) through the Fraction oracle; returns the list its
+    pivots go to."""
     pivots = []
 
     def oracle(a, b, c):
@@ -251,6 +251,7 @@ def _fraction_simplex(monkeypatch) -> list:
         return res
 
     monkeypatch.setattr(exactlp, "lp_standard", oracle)
+    monkeypatch.setattr(cones, "lp_standard", oracle)
     return pivots
 
 

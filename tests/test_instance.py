@@ -6,7 +6,6 @@ from robust_vdp import (
     InstanceError,
     is_m_rectangular,
     parse_document,
-    parse_instance,
     serialize_instance,
 )
 from robust_vdp.data import read_text
@@ -24,14 +23,14 @@ def minimal_doc():
 
 def test_parse_bundled_instances():
     for name in BUNDLED:
-        problem = parse_instance(read_text(name))
+        problem = parse_document(read_text(name)).problem
         assert problem.tree.horizon == 2
         assert problem.mode == "tabulated"
 
 
 def test_marginals_expand_to_full_family():
-    expanded = parse_instance(read_text("binomial_marginals.json"))
-    explicit = parse_instance(read_text("binomial_tables.json"))
+    expanded = parse_document(read_text("binomial_marginals.json")).problem
+    explicit = parse_document(read_text("binomial_tables.json")).problem
     tree = explicit.tree
     assert {m.assignment(tree) for m in expanded.family.models} == {
         m.assignment(tree) for m in explicit.family.models
@@ -49,35 +48,35 @@ def test_roundtrip_identity_on_bundled():
 def test_float_literals_rejected():
     doc = read_text("binomial_tables.json").replace('"1/4"', "0.25")
     with pytest.raises(InstanceError, match="floating-point"):
-        parse_instance(doc)
+        parse_document(doc).problem
 
 
 def test_probability_sum_error_message():
     doc = minimal_doc()
     doc["models"]["explicit"][0]["transition"]["n0"] = ["1/4", "1"]
     with pytest.raises(InstanceError, match=r"sum 5/4 != 1"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_empty_model_family_rejected():
     doc = minimal_doc()
     doc["models"]["explicit"] = []
     with pytest.raises(InstanceError, match="nonempty"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_dangling_node_reference():
     doc = minimal_doc()
     doc["models"]["explicit"][0]["transition"]["ghost"] = ["1/2", "1/2"]
     with pytest.raises(InstanceError, match="dangling"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_error_paths_point_into_document():
     doc = minimal_doc()
     doc["models"]["explicit"][2]["transition"]["u"] = ["1/3", "1/3"]
     with pytest.raises(InstanceError) as exc:
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
     assert exc.value.path == "/models/explicit/2/transition/u"
 
 
@@ -85,40 +84,40 @@ def test_missing_field():
     doc = minimal_doc()
     del doc["cone"]
     with pytest.raises(InstanceError, match="cone"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_unknown_cone_kind():
     doc = minimal_doc()
     doc["cone"] = {"kind": "lexicographic"}
     with pytest.raises(InstanceError, match="unknown cone kind"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_dimension_mismatch_in_losses():
     doc = minimal_doc()
     doc["problem"]["strategies"]["phi"]["uu"] = [8, 0, 0]
     with pytest.raises(InstanceError, match="dimension"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_unsupported_version():
     doc = minimal_doc()
     doc["version"] = 99
     with pytest.raises(InstanceError, match="version"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_syntax_error_reported():
     with pytest.raises(InstanceError, match="JSON"):
-        parse_instance("{not json")
+        parse_document("{not json").problem
 
 
 def test_negative_probability_rejected():
     doc = minimal_doc()
     doc["models"]["explicit"][0]["transition"]["n0"] = ["-1/4", "5/4"]
     with pytest.raises(InstanceError, match="negative"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_empty_control_set_rejected():
@@ -131,7 +130,7 @@ def test_empty_control_set_rejected():
         "loss": {"s0": [0, 0]},
     }
     with pytest.raises(InstanceError, match="empty control set"):
-        parse_instance(json.dumps(doc))
+        parse_document(json.dumps(doc)).problem
 
 
 def test_dynamics_roundtrip():

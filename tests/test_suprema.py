@@ -19,7 +19,7 @@ from robust_vdp import (
 )
 from robust_vdp import suprema
 from robust_vdp.data import read_text
-from robust_vdp.exactlp import dot, feasible_point, lp_standard, vadd
+from robust_vdp.exactlp import dot, lp, lp_standard, vadd
 from robust_vdp.instance import _parse_cone
 
 from .oracles import beta_lp_vsup_general, is_supremum, is_upper_bound
@@ -214,7 +214,8 @@ def test_general_equals_beta_lp_oracle(roof):
             pts = random_point_set(rng, cone)
             res = vsup_general(cone, pts)
             alpha = [max(dot(b, p) for p in pts) for b in cone.duals]
-            if feasible_point(a_ge=list(cone.duals), b_ge=alpha) is None:
+            zero = [0] * cone.dim
+            if lp(zero, a_ge=list(cone.duals), b_ge=alpha).status == "infeasible":
                 # no upper bound: the beta LPs of the oracle are infeasible
                 assert res == SupResult(NOT_EXISTS), (name, pts)
                 with pytest.raises(AssertionError):

@@ -12,7 +12,6 @@ from robust_vdp import (
     NOT_EXISTS,
     ScenarioTree,
     cond_expect,
-    constant_adapted,
     leq_t,
     parse_document,
     vsup_adapted,
@@ -49,13 +48,6 @@ def test_tree_validation():
                      children={"a": ("b",), "b": ()})
 
 
-def test_leaves_below():
-    t = two_period_tree()
-    assert t.leaves_below("n0") == ["uu", "ud", "du", "dd"]
-    assert t.leaves_below("u") == ["uu", "ud"]
-    assert t.leaves_below("dd") == ["dd"]
-
-
 def test_model_probability_validation():
     t = two_period_tree()
     bad = Model(
@@ -77,7 +69,8 @@ def test_family_must_be_nonempty():
 
 def test_cond_expect_single_step(binomial):
     tree = binomial.tree
-    theta1 = binomial.family.by_id("theta1")
+    theta1 = binomial.family.models[0]
+    assert theta1.id == "theta1"
     x = AdaptedVector.of(2, {"uu": (8, 0), "ud": (0, 8), "du": (0, 0), "dd": (8, 8)})
     e1 = cond_expect(tree, theta1, x, 1)
     assert e1.at("u") == (F(4), F(4))
@@ -105,7 +98,7 @@ def test_tower_property_randomized(binomial):
 
 def test_cond_expect_of_constant_is_constant(binomial):
     tree = binomial.tree
-    c = constant_adapted(tree, 2, (F(3, 2), F(-1)))
+    c = AdaptedVector.of(2, dict.fromkeys(tree.nodes_at(2), (F(3, 2), F(-1))))
     for m in binomial.family.models:
         e = cond_expect(tree, m, c, 0)
         assert e.at("n0") == (F(3, 2), F(-1))
@@ -114,7 +107,7 @@ def test_cond_expect_of_constant_is_constant(binomial):
 def test_leq_t(binomial):
     tree = binomial.tree
     cone = Cone.componentwise(2)
-    x = constant_adapted(tree, 1, (0, 0))
+    x = AdaptedVector.of(1, dict.fromkeys(tree.nodes_at(1), (0, 0)))
     y = AdaptedVector.of(1, {"u": (1, 0), "d": (0, 2)})
     assert leq_t(cone, x, y)
     assert not leq_t(cone, y, x)
