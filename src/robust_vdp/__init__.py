@@ -72,7 +72,6 @@ from .trees import (
     ModelFamily,
     ScenarioTree,
     cond_expect,
-    leq_t,
     vsup_adapted,
 )
 
@@ -122,7 +121,6 @@ __all__ = [
     "enumerate_strategies",
     "extract_marginals",
     "is_m_rectangular",
-    "leq_t",
     "minimal_elements",
     "one_step_R",
     "parse_document",

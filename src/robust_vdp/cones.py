@@ -9,30 +9,41 @@ With dual rows ``b_1..b_k``, ``x <= y`` holds exactly when
 ``<b_i, x> <= <b_i, y>`` for every i, because that is ``<b_i, y - x> >= 0``.
 The set relations therefore map every point once to its dual image
 ``(<b_1, x>, ..., <b_k, x>)`` and compare images coordinate by coordinate;
-on the component-wise cone the image is the point itself.  The images are
-exact rationals, so the criterion decides the order exactly, for pointed
-and non-pointed cones and for dependent dual rows alike.  Equal images
-always compare, so a point whose image occurs in the other set is settled
-by one lookup.  A cone with generators only compares pairs by ``leq``, one
-LP each.
+on the component-wise cone the image is the point itself.  The criterion
+decides the order exactly, for pointed and non-pointed cones and for
+dependent dual rows alike.  Equal images always compare, so a point whose
+image occurs in the other set is settled by one lookup.  A cone with
+generators only compares pairs by ``leq``, one LP each.
+
+The images are computed on integers: each dual row is cached once as the
+primitive integer row of its direction (``Cone.int_duals``), and the
+points are brought to integers over one common scale, the lcm of their
+denominators (``exactlp.scaled_points``).  Scaling a dual row or every
+point by a positive number changes neither the cone nor the comparison of
+two images, coordinate by coordinate, so the order is decided as on the
+rational images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
+from math import gcd
 from operator import ge, le
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatchError, RepresentationError, UnsupportedConeError
 from .exactlp import (
     ONE,
     ZERO,
     Vec,
+    _int_row,
     dot,
     exact,
     lp_standard,
     mat_rank,
+    scaled_points,
     vec,
     vneg,
     vsub,
@@ -108,15 +119,16 @@ class Cone:
     def _check_consistency(self):
         # Partial check: every generator must satisfy every dual inequality,
         # and every dual inequality must be tight on at least one generator.
-        for g in self.generators:
-            for b in self.duals:
-                if dot(b, g) < 0:
+        images = self.int_images(self.generators)[0]
+        for g, image in zip(self.generators, images):
+            for b, x in zip(self.duals, image):
+                if x < 0:
                     raise ValueError(
                         "inconsistent cone representations: generator "
                         f"{g} violates dual inequality {b}"
                     )
-        for b in self.duals:
-            if self.generators and not any(dot(b, g) == 0 for g in self.generators):
+        for i, b in enumerate(self.duals):
+            if images and not any(image[i] == 0 for image in images):
                 raise ValueError(
                     f"dual inequality {b} is tight on no generator; "
                     "representations describe different cones"
@@ -158,16 +170,42 @@ class Cone:
         return mat_rank(self.duals) if self.duals is not None else None
 
     @cached_property
-    def irredundant_duals(self) -> tuple[Vec, ...]:
-        """The dual rows minus each row that is a nonnegative combination of
-        the rows kept (one membership LP per row).  Dropping such a row
-        changes neither the cone nor the row space."""
+    def int_duals(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+        """Each dual row b as ``(f * b, f)``: the primitive integer row of
+        its direction (its entries have gcd 1) and the positive factor f
+        that makes it; f is 1 for a zero row."""
+        out = []
+        for b in self.duals:
+            ints, scale = _int_row(b)
+            g = gcd(*ints) or 1
+            out.append((tuple(x // g for x in ints), Fraction(scale, g)))
+        return tuple(out)
+
+    def int_images(self, points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+        """The dual images of exact points on the integer dual rows, with the
+        points over one common scale s (``scaled_points``), and s.  Image
+        coordinate i is ``s * f_i * <b_i, x>`` (``int_duals``)."""
+        ints, scale = scaled_points(points)
+        rows = [row for row, _ in self.int_duals]
+        return [tuple(dot(b, x) for b in rows) for x in ints], scale
+
+    @cached_property
+    def irredundant_index(self) -> tuple[int, ...]:
+        """The indices of the dual rows kept when each row that is a
+        nonnegative combination of the rows kept is dropped (one membership
+        LP per row).  Dropping such a row changes neither the cone nor the
+        row space."""
         kept = list(range(len(self.duals)))
         for i, row in enumerate(self.duals):
             rest = tuple(self.duals[j] for j in kept if j != i)
             if Cone(self.dim, GENERATORS, generators=rest).contains(row):
                 kept.remove(i)
-        return tuple(self.duals[j] for j in kept)
+        return tuple(kept)
+
+    @property
+    def irredundant_duals(self) -> tuple[Vec, ...]:
+        """The dual rows at ``irredundant_index``."""
+        return tuple(self.duals[j] for j in self.irredundant_index)
 
     def is_pointed(self) -> bool:
         """True iff C cap (-C) = {0}."""
@@ -184,12 +222,6 @@ class Cone:
         return True
 
     # -- set order relations -------------------------------------------------
-
-    def _image(self, x: Vec) -> tuple:
-        """The dual image of x: x itself on the component-wise cone."""
-        if self.kind == COMPONENTWISE:
-            return x
-        return tuple(dot(b, x) for b in self.duals)
 
     def uncovered(
         self,
@@ -213,7 +245,9 @@ class Cone:
     ) -> Iterator[Vec]:
         """``uncovered`` on points already coerced and checked.  With
         ``strict`` (meant for pointed cones, where equal images are equal
-        points) a point is not covered by an equal one."""
+        points) a point is not covered by an equal one.  The points of both
+        sets are imaged over one scale (the component-wise cone compares the
+        points themselves), and the points themselves are yielded."""
         if self.duals is None:
             for x in pts:
                 if not any(
@@ -223,10 +257,14 @@ class Cone:
                 ):
                     yield x
             return
-        images = dict.fromkeys(map(self._image, oth))
+        if self.kind == COMPONENTWISE:
+            pts_images, oth_images = pts, oth
+        else:
+            both = self.int_images(pts + oth)[0]
+            pts_images, oth_images = both[:len(pts)], both[len(pts):]
+        images = dict.fromkeys(oth_images)
         covers = le if below else ge  # image of x against image of y
-        for x in pts:
-            ix = self._image(x)
+        for x, ix in zip(pts, pts_images):
             if strict:
                 rivals = [iy for iy in images if iy != ix]
             elif ix in images:

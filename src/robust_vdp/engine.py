@@ -62,6 +62,14 @@ Moves = tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 ProfileLevel = dict[tuple[str, str], tuple[tuple[Vec, ...], ...]]
 
 
+def _check_controls(ctrls: Sequence[str], path: str) -> None:
+    """Reject a control listed twice in one admissible entry, which would
+    count its strategies twice."""
+    dup = next((a for i, a in enumerate(ctrls) if a in ctrls[:i]), None)
+    if dup is not None:
+        raise InstanceError(path, f"duplicate control {dup!r}")
+
+
 @dataclass(frozen=True)
 class DynamicsSpec:
     """The dynamics of an instance document's ``/problem``; the problem's
@@ -74,6 +82,10 @@ class DynamicsSpec:
     transition: Mapping[tuple[int, str, str, str], str]
     #: terminal state -> loss vector
     loss: Mapping[str, Vec]
+
+    def __post_init__(self):
+        for i, ctrls in enumerate(self.admissible.values()):
+            _check_controls(ctrls, f"/problem/admissible/{i}/controls")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ elimination and the simplex work fraction-free (Bareiss 1968, Edmonds
 1967): each row is a list of ``int``s, a positive multiple of the rational
 row, divided by its gcd after each update.  Signs, zero tests and ratios
 are those of the rational rows, and a value is divided out only where it
-is returned.  Problem sizes are tiny (a handful of variables and
-constraints), so a dense tableau simplex with Bland's rule is entirely
-adequate.
+is returned.  ``scaled_points`` brings a point collection to integers over
+one common scale in the same way, and ``dot`` keeps the type of its
+products, so a dot product of integer vectors is an ``int``.  Problem
+sizes are tiny (a handful of variables and constraints), so a dense
+tableau simplex with Bland's rule is entirely adequate.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -58,9 +61,12 @@ def exact(xs: Iterable) -> tuple:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """The sum of the products, started at the first product: an ``int`` on
+    integer vectors, a ``Fraction`` as soon as one product is one."""
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    products = map(mul, a, b)
+    return sum(products, next(products, ZERO))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -83,6 +89,14 @@ def _int_row(row: Sequence) -> tuple[list[int], int]:
     """The rational row times the lcm of its denominators, and that lcm."""
     scale = lcm(*(x.denominator for x in row))
     return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def scaled_points(points: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """The exact points times the lcm of all their denominators, as integer
+    tuples, and that lcm (1 for no points)."""
+    scale = lcm(*(x.denominator for p in points for x in p))
+    return [tuple(x.numerator * (scale // x.denominator) for x in p)
+            for p in points], scale
 
 
 def _reduced(row: list[int]) -> list[int]:
@@ -312,24 +326,32 @@ def lp(
 # Polyhedra of the form {y : B y >= alpha}
 
 
-def polyhedron_vertices(
-    b_rows: Sequence[Vec], alpha: Sequence[Fraction]
-) -> list[Vec]:
-    """All vertices of {y : B y >= alpha}, by enumerating basic solutions.
+def iter_vertices(b_rows: Sequence[Vec], alpha: Sequence[Fraction]) -> Iterator[Vec]:
+    """The vertices of {y : B y >= alpha}, each once, by enumerating basic
+    solutions: one elimination per d-subset of the rows, in the order of
+    ``itertools.combinations``, made only as far as the caller reads.
 
     Intended for desk-scale systems only (few rows, dimension <= 4).
     """
     if not b_rows:
-        return []
+        return
     d = len(b_rows[0])
-    seen: list[Vec] = []
+    seen: set[Vec] = set()
     square = list(range(d))
     for idx in combinations(range(len(b_rows)), d):
         red, pivots = rref([[*b_rows[i], alpha[i]] for i in idx])
         if pivots != square:  # the d rows are linearly dependent
             continue
         y = tuple(row[d] for row in red)
-        if all(dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))):
-            if y not in seen:
-                seen.append(y)
-    return seen
+        if y not in seen and all(
+            dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))
+        ):
+            seen.add(y)
+            yield y
+
+
+def polyhedron_vertices(
+    b_rows: Sequence[Vec], alpha: Sequence[Fraction]
+) -> list[Vec]:
+    """All vertices of {y : B y >= alpha} (``iter_vertices``)."""
+    return list(iter_vertices(b_rows, alpha))

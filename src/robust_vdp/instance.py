@@ -22,6 +22,7 @@ from .engine import (
     TABULATED,
     ControlledProblem,
     DynamicsSpec,
+    _check_controls,
 )
 from .errors import InstanceError
 from .exactlp import Vec, frac
@@ -284,9 +285,7 @@ def _parse_problem(doc, tree, family, cone, budget, path: str) -> ControlledProb
                 ctrls = _names_at(_require(row, "controls", rp), f"{rp}/controls")
                 if not ctrls:
                     raise InstanceError(rp, "empty control set")
-                dup = next((a for i, a in enumerate(ctrls) if a in ctrls[:i]), None)
-                if dup is not None:
-                    raise InstanceError(f"{rp}/controls", f"duplicate control {dup!r}")
+                _check_controls(ctrls, f"{rp}/controls")
                 t, s = _require(row, "time", rp, int), _require(row, "state", rp, str)
                 if (t, s) in admissible:
                     raise InstanceError(rp, f"duplicate row for (t={t}, {s!r})")

@@ -9,17 +9,18 @@ situations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from fractions import Fraction
+from operator import lt
+from typing import Iterable, Optional, Sequence
 
 from .cones import COMPONENTWISE, Cone
 from .errors import DeskScaleExceededError, DualNotLIError, RepresentationError
 from .exactlp import (
     Vec,
-    dot,
     exact,
+    iter_vertices,
     lp,
     nullspace_basis,
-    polyhedron_vertices,
     solve_linear,
     vadd,
 )
@@ -29,7 +30,7 @@ NON_UNIQUE = "non_unique"
 NOT_EXISTS = "not_exists"
 
 #: vsup_general refuses above this dimension / dual count: the certificate's
-#: ``polyhedron_vertices`` makes one elimination per d-subset of the rows.
+#: ``iter_vertices`` makes one elimination per d-subset of the rows.
 MAX_GENERAL_DIM = 4
 MAX_GENERAL_DUALS = 16
 
@@ -64,14 +65,28 @@ def vsup_componentwise(xs: Iterable[Iterable]) -> Vec:
     return tuple(max(p[i] for p in pts) for i in range(len(pts[0])))
 
 
-def _dual_solution(cone: Cone, b_rows, pts) -> Optional[SupResult]:
-    """The suprema as the solutions of <b_i, V> = max_x <b_i, x> over
-    ``b_rows``, or None when that system is inconsistent.  The value has its
-    free coordinates zero; below full rank a null-space step gives another."""
-    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
-    v = solve_linear(b_rows, alpha, cone.dim)
+def _scaled_alpha(cone: Cone, pts: list[Vec]) -> tuple[list[int], int]:
+    """``alpha_i = max_x <b_i, x>`` for every dual row, on the integer dual
+    rows and the points over one scale s (``Cone.int_images``), and s."""
+    images, scale = cone.int_images(pts)
+    return [max(column) for column in zip(*images)], scale
+
+
+def _dual_solution(
+    cone: Cone, index: Sequence[int], alpha: list[int], scale: int
+) -> Optional[SupResult]:
+    """The suprema as the solutions of <b_i, V> = max_x <b_i, x> over the
+    dual rows at ``index``, or None when that system is inconsistent.  It is
+    solved on the integer rows, whose right-hand sides ``alpha`` (from
+    ``_scaled_alpha``) are over the point scale: its solutions are the
+    suprema times the scale, so the value is divided by the scale once.  The
+    value has its free coordinates zero; below full rank a null-space step
+    gives another."""
+    b_rows = [cone.int_duals[i][0] for i in index]
+    v = solve_linear(b_rows, [alpha[i] for i in index], cone.dim)
     if v is None:
         return None
+    v = tuple(Fraction(x, scale) for x in v)
     if cone.dual_rank == cone.dim:
         return SupResult(UNIQUE, value=v)
     null = nullspace_basis(b_rows, cone.dim)
@@ -91,7 +106,7 @@ def vsup_dual_li(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
         raise RepresentationError("vsup_dual_li needs a dual representation")
     if cone.dual_rank != len(cone.duals):
         raise DualNotLIError("dual generators are linearly dependent")
-    return _dual_solution(cone, cone.duals, pts)
+    return _dual_solution(cone, range(len(cone.duals)), *_scaled_alpha(cone, pts))
 
 
 def _lex_minimal_point(b_rows, alpha) -> Optional[Vec]:
@@ -138,20 +153,28 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
             f"vsup_general is limited to dimension <= {MAX_GENERAL_DIM} "
             f"and <= {MAX_GENERAL_DUALS} dual inequalities"
         )
-    found = _dual_solution(cone, cone.irredundant_duals, pts)
+    int_alpha, scale = _scaled_alpha(cone, pts)
+    found = _dual_solution(cone, cone.irredundant_index, int_alpha, scale)
     if found is not None:
         return found
-    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
+    # the certificate LPs keep the rational rows and alpha: scaling a row
+    # would reweight phase 1 and could change the simplex's point
+    alpha = [
+        Fraction(a * f.denominator, scale * f.numerator)
+        for a, (_, f) in zip(int_alpha, cone.int_duals)
+    ]
     candidate = _lex_minimal_point(b_rows, alpha)
     if candidate is None:
         return SupResult(NOT_EXISTS)
-    witness = next((
-        vert for vert in polyhedron_vertices(b_rows, alpha)
-        if any(dot(b, vert) < dot(b, candidate) for b in b_rows)
-    ), None)
+
+    def below(y) -> list[bool]:  # <b_i, y> < <b_i, candidate>, row by row
+        iy, ic = cone.int_images((y, candidate))[0]
+        return list(map(lt, iy, ic))
+
+    witness = next((y for y in iter_vertices(b_rows, alpha) if any(below(y))), None)
     if witness is None:  # polyhedron without vertices (lineality)
-        argmins = ((b, lp(list(b), a_ge=list(b_rows), b_ge=alpha).x) for b in b_rows)
-        witness = next(y for b, y in argmins if dot(b, y) < dot(b, candidate))
+        argmins = (lp(list(b), a_ge=list(b_rows), b_ge=alpha).x for b in b_rows)
+        witness = next(y for i, y in enumerate(argmins) if below(y)[i])
     return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
 
 

@@ -212,15 +212,6 @@ def cond_expect(
     return AdaptedVector(t, vals)
 
 
-def leq_t(cone: Cone, x: AdaptedVector, y: AdaptedVector) -> bool:
-    """Node-wise cone order on adapted vectors of the same time."""
-    if x.time != y.time:
-        raise ValueError("adapted vectors live at different times")
-    if set(x.values) != set(y.values):
-        raise ValueError("adapted vectors cover different nodes")
-    return all(cone.leq(x.at(n), y.at(n)) for n in x.values)
-
-
 @dataclass(frozen=True)
 class AdaptedSupResult:
     status: str

@@ -33,13 +33,12 @@ from robust_vdp import (
     UnsupportedConeError,
     cond_expect,
     is_m_rectangular,
-    leq_t,
     minimal_elements,
     one_step_R,
     vsup,
     vsup_adapted,
 )
-from robust_vdp import engine
+from robust_vdp import engine, suprema
 from robust_vdp.engine import (
     UpperImageReport,
     UpperImageRow,
@@ -52,6 +51,7 @@ from robust_vdp.exactlp import (
     ZERO,
     LPResult,
     dot,
+    exact,
     lp,
     mat_rank,
     nullspace_basis,
@@ -529,6 +529,82 @@ def beta_lp_vsup_general(cone: Cone, xs) -> SupResult:
     return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
 
 
+def fraction_image(cone: Cone, x) -> tuple:
+    """The dual image of x on the rational dual rows: x itself on the
+    component-wise cone."""
+    if cone.kind == COMPONENTWISE:
+        return x
+    return tuple(dot(b, x) for b in cone.duals)
+
+
+def fraction_uncovered(cone: Cone, points, others, below=False, strict=False) -> list:
+    """``Cone.uncovered`` (``strict`` as in ``minimal_elements``) comparing
+    each point's rational dual image, from ``fraction_image``."""
+    pts = [exact(x) for x in points]
+    oth = [exact(y) for y in others]
+    for x in pts + oth:
+        cone._check_dim(x)
+    images = dict.fromkeys(fraction_image(cone, y) for y in oth)
+    covers = (lambda u, v: u <= v) if below else (lambda u, v: u >= v)
+    out = []
+    for x in pts:
+        ix = fraction_image(cone, x)
+        if strict:
+            rivals = [iy for iy in images if iy != ix]
+        elif ix in images:
+            continue
+        else:
+            rivals = images
+        if not any(all(map(covers, ix, iy)) for iy in rivals):
+            out.append(x)
+    return out
+
+
+def fraction_minimal_elements(points, cone: Cone) -> list:
+    """``minimal_elements`` on rational dual images."""
+    if not cone.is_pointed():
+        raise UnsupportedConeError("minimal elements need a pointed cone")
+    pts = list(dict.fromkeys(exact(x) for x in points))
+    return fraction_uncovered(cone, pts, pts, strict=True)
+
+
+def _fraction_dual_solution(cone: Cone, b_rows, pts) -> Optional[SupResult]:
+    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
+    v = solve_linear(b_rows, alpha, cone.dim)
+    if v is None:
+        return None
+    if cone.dual_rank == cone.dim:
+        return SupResult(UNIQUE, value=v)
+    null = nullspace_basis(b_rows, cone.dim)
+    return SupResult(NON_UNIQUE, value=v, alternative=vadd(v, null[0]))
+
+
+def fraction_vsup(cone: Cone, xs) -> SupResult:
+    """``vsup`` on a cone with dual rows, with every dot product taken on
+    the rational dual rows and points: alpha once for the irredundant rows
+    and once more for every row, and every vertex of P enumerated before
+    the witness search."""
+    pts = [exact(x) for x in xs]
+    if cone.dual_rank == len(cone.duals):
+        return _fraction_dual_solution(cone, cone.duals, pts)
+    b_rows = cone.duals
+    found = _fraction_dual_solution(cone, cone.irredundant_duals, pts)
+    if found is not None:
+        return found
+    alpha = [max(dot(b, p) for p in pts) for b in b_rows]
+    candidate = suprema._lex_minimal_point(b_rows, alpha)
+    if candidate is None:
+        return SupResult(NOT_EXISTS)
+    witness = next((
+        vert for vert in polyhedron_vertices(b_rows, alpha)
+        if any(dot(b, vert) < dot(b, candidate) for b in b_rows)
+    ), None)
+    if witness is None:  # polyhedron without vertices (lineality)
+        argmins = ((b, lp(list(b), a_ge=list(b_rows), b_ge=alpha).x) for b in b_rows)
+        witness = next(y for b, y in argmins if dot(b, y) < dot(b, candidate))
+    return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
+
+
 def pairwise_set_precurly(cone: Cone, a, b) -> bool:
     """B subset of A + C, one ``leq`` per compared pair."""
     av = [vec(x) for x in a]
@@ -600,6 +676,15 @@ def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
             witnesses=tuple(witnesses),
         ))
     return UpperImageReport(rows=tuple(rows), m_rectangular=rect)
+
+
+def leq_t(cone: Cone, x, y) -> bool:
+    """Node-wise cone order on adapted vectors of the same time."""
+    if x.time != y.time:
+        raise ValueError("adapted vectors live at different times")
+    if set(x.values) != set(y.values):
+        raise ValueError("adapted vectors cover different nodes")
+    return all(cone.leq(x.at(n), y.at(n)) for n in x.values)
 
 
 def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:

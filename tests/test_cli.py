@@ -1,7 +1,10 @@
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
+from robust_vdp import InstanceError, parse_document
 from robust_vdp.cli import main
 from robust_vdp.data import path
 
@@ -347,6 +350,17 @@ def test_repeated_dynamics_entry_is_an_input_error(tmp_path, capsys, part, messa
     for argv in (["solve", "--budget", "5"], ["check-bellman"]):
         code, out, err = run(capsys, *argv, "--instance", str(instance))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_control_is_rejected_through_the_python_api():
+    problem = parse_document(json.dumps(_dynamics_doc())).problem
+    dynamics = problem.dynamics
+    once = replace(dynamics, admissible={**dynamics.admissible, (0, "s0"): ("a",)})
+    assert problem.strategy_counts[("n0", "s0")] == 8
+    assert replace(problem, dynamics=once).strategy_counts[("n0", "s0")] == 4
+    message = "/problem/admissible/0/controls: duplicate control 'a'"
+    with pytest.raises(InstanceError, match=re.escape(message)):
+        replace(dynamics, admissible={**dynamics.admissible, (0, "s0"): ("a", "a")})
 
 
 def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):

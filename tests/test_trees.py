@@ -12,11 +12,12 @@ from robust_vdp import (
     NOT_EXISTS,
     ScenarioTree,
     cond_expect,
-    leq_t,
     parse_document,
     vsup_adapted,
 )
 from robust_vdp.data import read_text
+
+from .oracles import leq_t
 
 F = Fraction
 
