@@ -259,6 +259,8 @@ class Cone:
             return
         if self.kind == COMPONENTWISE:
             pts_images, oth_images = pts, oth
+        elif oth is pts:  # minimal_elements: image the one list once
+            pts_images = oth_images = self.int_images(pts)[0]
         else:
             both = self.int_images(pts + oth)[0]
             pts_images, oth_images = both[:len(pts)], both[len(pts):]

@@ -331,21 +331,28 @@ def iter_vertices(b_rows: Sequence[Vec], alpha: Sequence[Fraction]) -> Iterator[
     solutions: one elimination per d-subset of the rows, in the order of
     ``itertools.combinations``, made only as far as the caller reads.
 
+    Each row ``[b_i | alpha_i]`` is taken once as a positive integer
+    multiple (``_int_row``), and each basic solution y over its own scale s
+    (``scaled_points``), so ``<b_i, y> >= alpha_i`` is decided on integers
+    as ``<b_i', s y> >= s alpha_i'``.
+
     Intended for desk-scale systems only (few rows, dimension <= 4).
     """
     if not b_rows:
         return
     d = len(b_rows[0])
+    rows = [_int_row([*b, a])[0] for b, a in zip(b_rows, alpha)]
     seen: set[Vec] = set()
     square = list(range(d))
-    for idx in combinations(range(len(b_rows)), d):
-        red, pivots = rref([[*b_rows[i], alpha[i]] for i in idx])
+    for idx in combinations(range(len(rows)), d):
+        red, pivots = rref([rows[i] for i in idx])
         if pivots != square:  # the d rows are linearly dependent
             continue
         y = tuple(row[d] for row in red)
-        if y not in seen and all(
-            dot(b_rows[i], y) >= alpha[i] for i in range(len(b_rows))
-        ):
+        if y in seen:
+            continue
+        (iy,), scale = scaled_points([y])
+        if all(dot(row[:d], iy) >= row[d] * scale for row in rows):
             seen.add(y)
             yield y
 

@@ -20,6 +20,7 @@ from .exactlp import (
     exact,
     iter_vertices,
     lp,
+    mat_rank,
     nullspace_basis,
     solve_linear,
     vadd,
@@ -112,7 +113,10 @@ def vsup_dual_li(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
 def _lex_minimal_point(b_rows, alpha) -> Optional[Vec]:
     """A cone-order minimal element of {y : By >= alpha}, found by
     lexicographically minimising <b_1, y>, <b_2, y>, ... in turn, or None
-    when that polyhedron is empty (only the first LP can be infeasible)."""
+    when that polyhedron is empty (only the first LP can be infeasible).
+    The LPs stop once the rows fixed so far have rank d: their equalities
+    then admit only the point just found, which every later LP would
+    return again.  Below full dual rank every row takes its LP."""
     a_eq: list[Vec] = []
     b_eq: list = []
     y = None
@@ -123,6 +127,8 @@ def _lex_minimal_point(b_rows, alpha) -> Optional[Vec]:
         y = res.x
         a_eq.append(b)
         b_eq.append(res.value)
+        if len(a_eq) >= len(y) and mat_rank(a_eq) == len(y):
+            break
     return y
 
 
@@ -141,6 +147,10 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     is not above V.  Without a supremum the result certifies it with the
     lexicographically minimal point of P and a point of P that point does
     not precede; an empty P (a cone without interior) has no upper bound.
+    The candidate takes one LP per dual row until the rows fixed have rank
+    d (``_lex_minimal_point``), and the witness is the first vertex of P,
+    tested on integer rows (``iter_vertices``), that the candidate does not
+    precede; a P without vertices takes per-row minimisers instead.
     """
     pts = _require_points(xs)
     if cone.duals is None:

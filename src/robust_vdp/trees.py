@@ -78,6 +78,21 @@ class ScenarioTree:
         return self.labels.get(child, child)
 
 
+def _check_row(model_id: str, tree: ScenarioTree, n: str, p) -> None:
+    """A model's row at the non-terminal node n: present, one probability
+    per child, nonnegative, summing to 1."""
+    if p is None:
+        raise ValueError(f"model {model_id}: no transition at {n!r}")
+    if len(p) != len(tree.children[n]):
+        raise ValueError(f"model {model_id}: transition at {n!r} has wrong arity")
+    if any(x < 0 for x in p):
+        raise ValueError(f"model {model_id}: negative probability at {n!r}")
+    if sum(p) != 1:
+        raise ValueError(
+            f"model {model_id}: probabilities at {n!r} sum to {sum(p)} != 1"
+        )
+
+
 @dataclass(frozen=True)
 class Model:
     id: str
@@ -87,19 +102,7 @@ class Model:
 
     def validate(self, tree: ScenarioTree):
         for n in tree.inner_nodes:
-            p = self.transition.get(n)
-            if p is None:
-                raise ValueError(f"model {self.id}: no transition at {n!r}")
-            if len(p) != len(tree.children[n]):
-                raise ValueError(
-                    f"model {self.id}: transition at {n!r} has wrong arity"
-                )
-            if any(x < 0 for x in p):
-                raise ValueError(f"model {self.id}: negative probability at {n!r}")
-            if sum(p) != 1:
-                raise ValueError(
-                    f"model {self.id}: probabilities at {n!r} sum to {sum(p)} != 1"
-                )
+            _check_row(self.id, tree, n, self.transition.get(n))
 
     def assignment(self, tree: ScenarioTree) -> tuple:
         """Hashable transition assignment in canonical node order."""
@@ -117,8 +120,17 @@ class ModelFamily:
         ids = [m.id for m in self.models]
         if len(set(ids)) != len(ids):
             raise ValueError("model ids must be unique")
+        # a row object shared by several models (a marginal candidate row
+        # of a parsed document) is checked once per node, in model order,
+        # so the first bad (model, node) is still the one reported; the
+        # rows are kept as values, so no checked id is reused
+        checked: dict[tuple[str, int], object] = {}
         for m in self.models:
-            m.validate(self.tree)
+            for n in self.tree.inner_nodes:
+                p = m.transition.get(n)
+                if (n, id(p)) not in checked:
+                    _check_row(m.id, self.tree, n, p)
+                    checked[n, id(p)] = p
 
     @cached_property
     def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:

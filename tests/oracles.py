@@ -38,7 +38,7 @@ from robust_vdp import (
     vsup,
     vsup_adapted,
 )
-from robust_vdp import engine, suprema
+from robust_vdp import engine
 from robust_vdp.engine import (
     UpperImageReport,
     UpperImageRow,
@@ -55,7 +55,6 @@ from robust_vdp.exactlp import (
     lp,
     mat_rank,
     nullspace_basis,
-    polyhedron_vertices,
     rref,
     solve_linear,
     vadd,
@@ -456,7 +455,8 @@ def fraction_lp_standard(a, b, c) -> tuple[LPResult, list[tuple[int, int]]]:
 
 def two_step_polyhedron_vertices(b_rows, alpha) -> list:
     """``polyhedron_vertices`` with a rank test and then a solve on every
-    d-subset of the rows: two eliminations per vertex candidate."""
+    d-subset of the rows: two eliminations per vertex candidate, and
+    feasibility tested on the rational rows."""
     if not b_rows:
         return []
     d = len(b_rows[0])
@@ -472,6 +472,22 @@ def two_step_polyhedron_vertices(b_rows, alpha) -> list:
             if y not in seen:
                 seen.append(y)
     return seen
+
+
+def all_rows_lex_minimal_point(b_rows, alpha):
+    """``suprema._lex_minimal_point`` with one LP for every row, also after
+    the rows fixed so far have rank d, or None when the first LP is
+    infeasible."""
+    a_eq, b_eq = [], []
+    y = None
+    for b in b_rows:
+        res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha), a_eq=a_eq, b_eq=b_eq)
+        if res.status != "optimal":
+            return None
+        y = res.x
+        a_eq.append(b)
+        b_eq.append(res.value)
+    return y
 
 
 def _beta_pivot_solution(b_rows, rhs):
@@ -505,15 +521,10 @@ def beta_lp_vsup_general(cone: Cone, xs) -> SupResult:
         beta.append(res.value)
         argmins.append(res.x)
     if solve_linear(b_rows, beta, d) is None:
-        a_eq, b_eq = [], []
-        for b in b_rows:  # the lexicographically minimal point of P
-            res = lp(list(b), a_ge=list(b_rows), b_ge=list(alpha), a_eq=a_eq, b_eq=b_eq)
-            assert res.status == "optimal"
-            candidate = res.x
-            a_eq.append(b)
-            b_eq.append(res.value)
+        candidate = all_rows_lex_minimal_point(b_rows, alpha)
+        assert candidate is not None
         witness = None
-        for vert in polyhedron_vertices(b_rows, alpha):
+        for vert in two_step_polyhedron_vertices(b_rows, alpha):
             if any(dot(b, vert) < dot(b, candidate) for b in b_rows):
                 witness = vert
                 break
@@ -582,8 +593,9 @@ def _fraction_dual_solution(cone: Cone, b_rows, pts) -> Optional[SupResult]:
 def fraction_vsup(cone: Cone, xs) -> SupResult:
     """``vsup`` on a cone with dual rows, with every dot product taken on
     the rational dual rows and points: alpha once for the irredundant rows
-    and once more for every row, and every vertex of P enumerated before
-    the witness search."""
+    and once more for every row, the lexicographic minimum by one LP per
+    row, and every vertex of P enumerated, each tested on the rational
+    rows, before the witness search."""
     pts = [exact(x) for x in xs]
     if cone.dual_rank == len(cone.duals):
         return _fraction_dual_solution(cone, cone.duals, pts)
@@ -592,11 +604,11 @@ def fraction_vsup(cone: Cone, xs) -> SupResult:
     if found is not None:
         return found
     alpha = [max(dot(b, p) for p in pts) for b in b_rows]
-    candidate = suprema._lex_minimal_point(b_rows, alpha)
+    candidate = all_rows_lex_minimal_point(b_rows, alpha)
     if candidate is None:
         return SupResult(NOT_EXISTS)
     witness = next((
-        vert for vert in polyhedron_vertices(b_rows, alpha)
+        vert for vert in two_step_polyhedron_vertices(b_rows, alpha)
         if any(dot(b, vert) < dot(b, candidate) for b in b_rows)
     ), None)
     if witness is None:  # polyhedron without vertices (lineality)

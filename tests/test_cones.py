@@ -136,6 +136,18 @@ def test_minimal_elements_needs_pointed_cone():
         minimal_elements([(0, 0)], Cone.halfspace((1, 1)))
 
 
+def test_minimal_elements_images_each_point_once(monkeypatch):
+    images = []
+    real = Cone.int_images
+    monkeypatch.setattr(
+        Cone, "int_images", lambda self, pts: images.append(len(pts)) or real(self, pts)
+    )
+    pyramid = Cone.from_duals([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)])
+    pts = [(0, 0, 0), (0, 0, 2), (F(1, 2), 0, 0)]
+    assert minimal_elements(pts, pyramid) == [(0, 0, 0), (F(1, 2), 0, 0)]
+    assert images == [3]
+
+
 def test_dual_rank_computed_once_per_cone(roof, monkeypatch):
     ranks = []
 

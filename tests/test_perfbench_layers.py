@@ -43,6 +43,10 @@ gen = _load("gen")
 spans = _load("spans")
 checks = _load("checks")
 REFS = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))
+#: ``suprema.lp`` calls per seed-1 catalog pass: only cone-lp's eight
+#: non-existence certificates solve LPs, d = 3 lexicographic ones each
+#: (four on the 8-row roof, four on a 4-row cone)
+LP_CALLS = {"cone-lp": 24}
 
 
 @pytest.mark.parametrize("workload", sorted(spans.MAPPED))
@@ -68,3 +72,4 @@ def test_one_traced_pass_records_every_mapped_layer(workload, tmp_path, monkeypa
     missing = [m for m in spans.MAPPED[workload]
                if not recorded[spans.LAYER_METRICS[m][0]]]
     assert missing == []
+    assert recorded["exactlp.lp"] == LP_CALLS.get(workload, 0)

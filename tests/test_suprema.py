@@ -259,6 +259,40 @@ def test_existing_supremum_makes_no_lp_call(roof, monkeypatch):
     assert calls  # only a non-existence certificate solves LPs
 
 
+def test_certificate_lp_counts(roof, monkeypatch):
+    """The lexicographic LPs stop once the rows fixed have rank d: d LPs on
+    the roof, one per dual row below full dual rank, none when a supremum
+    exists."""
+    calls = []
+    real = suprema.lp
+    monkeypatch.setattr(
+        suprema, "lp", lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs)
+    )
+    pts = json.loads(read_text("points_no_sup.json"))
+    assert vsup(roof, pts).status == NOT_EXISTS
+    assert len(calls) == 3
+    line = oracle_cones(roof)["pyramid times a line"]
+    assert line.dual_rank == 3 < line.dim
+    rng = random.Random(43)
+    certificates = 0
+    for _ in range(30):
+        calls.clear()
+        res = vsup(line, random_point_set(rng, line))
+        lexicographic = [kw for kw in calls if "a_eq" in kw]
+        if res.status != NOT_EXISTS:
+            assert calls == []
+        elif res.candidate is not None:
+            certificates += 1
+            assert len(lexicographic) == len(line.duals)
+            # the witness search of a polyhedron without vertices adds at
+            # most one argmin LP per row
+            assert len(lexicographic) < len(calls) <= 2 * len(line.duals)
+    assert certificates > 3
+    calls.clear()
+    assert vsup(roof, [(0, 0, 0), (0, 0, 2)]).status == UNIQUE
+    assert calls == []
+
+
 def _in_generated_cone(rows, x) -> bool:
     """x is a nonnegative combination of rows (the empty one is zero)."""
     if not rows:

@@ -63,6 +63,23 @@ def test_model_probability_validation():
         bad.validate(t)
 
 
+def test_family_reports_the_first_model_with_a_bad_row():
+    t = two_period_tree()
+    half = (F(1, 2), F(1, 2))
+    bad = (F(1, 4), F(1, 2))
+
+    def model(i, u_row):
+        return Model(id=f"theta{i}", transition={"n0": half, "u": u_row, "d": half})
+
+    with pytest.raises(ValueError, match=r"^model theta2: probabilities at 'u' sum to 3/4"):
+        ModelFamily(tree=t, models=(model(1, half), model(2, bad), model(3, bad)))
+    with pytest.raises(ValueError, match=r"^model theta3: no transition at 'd'"):
+        ModelFamily(tree=t, models=(
+            model(1, half), model(2, half),
+            Model(id="theta3", transition={"n0": half, "u": half}), model(4, bad),
+        ))
+
+
 def test_family_must_be_nonempty():
     with pytest.raises(ValueError, match="nonempty"):
         ModelFamily(tree=two_period_tree(), models=())
