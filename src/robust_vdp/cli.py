@@ -31,6 +31,7 @@ from .rectangularity import (
     random_terminal_vectors,
 )
 from .render import (
+    bellman_to_json,
     compute_results,
     emit_bellman,
     emit_tables,
@@ -134,7 +135,7 @@ def cmd_check_bellman(args) -> int:
     results = compute_results(problem)
     report = results.report
     if args.format == "json":
-        _print(args, "", results_to_json(problem, results)["bellman"])
+        _print(args, "", bellman_to_json(report))
     else:
         _print(args, emit_bellman(report))
     ok = report.weak_ok and report.strong_ok and report.equality_ok

@@ -61,6 +61,9 @@ Moves = tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 #: first strategy
 ProfileLevel = dict[tuple[str, str], tuple[tuple[Vec, ...], ...]]
 
+#: one vector per node of a time level
+NodeValues = dict[str, Vec]
+
 
 def _check_controls(ctrls: Sequence[str], path: str) -> None:
     """Reject a control listed twice in one admissible entry, which would
@@ -402,6 +405,60 @@ def one_step_R(
     return _level_true(
         _one_step_sets(problem, t, _level_at_scale(v_next, scales[t + 1])), scales[t]
     )
+
+
+# ---------------------------------------------------------------------------
+# worst cases of one terminal vector
+
+
+def _node_sups(cone: Cone, points_by_node) -> Optional[NodeValues]:
+    """Per node, the supremum of its points; None at the first supremum
+    that does not exist."""
+    out: NodeValues = {}
+    for node, points in points_by_node:
+        res = vsup(cone, points)
+        if res.status == NOT_EXISTS:
+            return None
+        out[node] = res.value
+    return out
+
+
+def terminal_walk(
+    cone: Cone, tree: ScenarioTree, family: ModelFamily, values: Mapping[str, Vec]
+) -> tuple[list[Optional[NodeValues]], list[Optional[NodeValues]]]:
+    """The direct and the nested worst cases of one terminal vector X, given
+    by its value at each leaf, in one walk from the horizon up.
+
+    ``direct[t]`` (t < T) holds sup_m E_t[X] at each time-t node and
+    ``nested[t]`` (t < T - 1) holds sup_m E_t[direct[t + 1]]; each is None
+    when one of its suprema does not exist.  Both are over the level scale
+    S_t: S_T is the lcm of X's denominators and S_t = D_t * S_{t+1}.  The
+    expectations of the models are taken once per subtree class
+    (``ModelFamily.classes``), the nested ones once per distinct row.
+    """
+    horizon = tree.horizon
+    s = lcm(*(x.denominator for v in values.values() for x in v))
+    # per node, the expected terminal loss of each class at it, over S_t
+    profiles = {leaf: (_at_scale(v, s),) for leaf, v in values.items()}
+    direct: list[Optional[NodeValues]] = [None] * horizon
+    nested: list[Optional[NodeValues]] = [None] * (horizon - 1)
+    for t in range(horizon - 1, -1, -1):
+        level = tree.nodes_at(t)
+        for n in level:
+            kids = [profiles[c] for c in tree.children[n]]
+            profiles[n] = [
+                expect(row, [p[k] for p, k in zip(kids, index)])
+                for row, index in family.classes[n][0]
+            ]
+        direct[t] = _node_sups(cone, ((n, profiles[n]) for n in level))
+        below = direct[t + 1] if t < horizon - 1 else None
+        if below is not None:
+            nested[t] = _node_sups(cone, (
+                (n, [expect(row, [below[c] for c in tree.children[n]])
+                     for row in dict.fromkeys(family.weights[n])])
+                for n in level
+            ))
+    return direct, nested
 
 
 # ---------------------------------------------------------------------------

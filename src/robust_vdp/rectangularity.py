@@ -17,7 +17,6 @@ from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
-from .errors import SupNotExistsError
 from .trees import AdaptedVector, Model, ModelFamily, ScenarioTree
 
 #: per non-terminal node, the candidate transition vectors
@@ -125,14 +124,6 @@ def random_terminal_vectors(
     return out
 
 
-def _unless_no_sup(level, *args):
-    """level(*args), or None when one of its suprema does not exist."""
-    try:
-        return level(*args)
-    except SupNotExistsError:
-        return None
-
-
 def check_preorder_rectangularity(
     cone: Cone,
     tree: ScenarioTree,
@@ -144,13 +135,16 @@ def check_preorder_rectangularity(
 
     For every vector X and every time t with t+1 < horizon, compares the
     nested worst case sup_m E_t[sup_m E_{t+1}[X]] against the direct
-    worst case sup_m E_t[X]: the one-step set R and the forward set V of
-    the problem whose only strategy is X.  The nested value always
-    dominates the direct one; rectangularity additionally requires the
-    converse, and for pointed cones equality.
+    worst case sup_m E_t[X], node by node, from one integer walk of X
+    (``engine.terminal_walk``).  The nested value always dominates the
+    direct one; rectangularity additionally requires the converse, and for
+    pointed cones equality.
     """
     # the engine imports is_m_rectangular from this module
-    from .engine import TABULATED, ControlledProblem, one_step_R, value_sets
+    from .engine import terminal_walk
+
+    def precedes(x, y) -> bool:  # x <= y, decided on the cone's integer images
+        return next(cone.uncovered((x,), (y,), below=True), None) is None
 
     vectors = list(test_vectors)
     records = []
@@ -158,28 +152,23 @@ def check_preorder_rectangularity(
     # a horizon-1 tree has no (vector, t) pair to check
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
         x.check_level(tree)
-        problem = ControlledProblem(
-            tree, family, cone, TABULATED, strategies={"X": x.values}
-        )
-        direct = [_unless_no_sup(value_sets, problem, t) for t in range(tree.horizon)]
+        direct, nested = terminal_walk(cone, tree, family, x.values)
         for t in range(tree.horizon - 1):
-            # the inner supremum of the check at t is direct[t + 1]
-            inner = direct[t + 1]
-            nested = inner and _unless_no_sup(one_step_R, problem, t, inner)
-            if not (nested and direct[t]):
-                failure = (f"inner supremum at t={t + 1}" if inner is None
+            if nested[t] is None or direct[t] is None:
+                # the inner supremum of the check at t is direct[t + 1]
+                failure = (f"inner supremum at t={t + 1}" if direct[t + 1] is None
                            else f"outer supremum at t={t}")
                 records.append(
                     RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
                 )
                 continue
-            # each set holds the one value of the one strategy
-            pairs = [(nested[k][0], direct[t][k][0]) for k in problem.reachable[t]]
+            # both over the level scale S_t, which the order and equality ignore
+            pairs = [(nested[t][n], direct[t][n]) for n in tree.nodes_at(t)]
             records.append(
                 RectCheckRecord(
                     idx, t,
-                    all(cone.leq(n, d) for n, d in pairs),
-                    all(cone.leq(d, n) for n, d in pairs),
+                    all(precedes(n, d) for n, d in pairs),
+                    all(precedes(d, n) for n, d in pairs),
                     all(n == d for n, d in pairs) if pointed else None,
                 )
             )

@@ -177,27 +177,31 @@ def level_to_json(lvl: LevelSets) -> list[dict]:
     ]
 
 
+def bellman_to_json(report: BellmanReport) -> dict:
+    return {
+        "weak": report.weak_ok,
+        "strong": report.strong_ok,
+        "equality": report.equality_ok,
+        "m_rectangular": report.m_rectangular,
+        "pointed": report.pointed,
+        "rows": [
+            {
+                "time": row.time,
+                "weak": row.weak_ok,
+                "strong": row.strong_ok,
+                "equality": row.equality,
+                "witnesses": list(row.witnesses),
+            }
+            for row in report.rows
+        ],
+    }
+
+
 def results_to_json(problem: ControlledProblem, results: SolveResults) -> dict:
     report = results.report
     return {
         "value_sets": {str(t): level_to_json(d) for t, d in report.v.items()},
         "backward_sets": {str(t): level_to_json(d) for t, d in results.b.items()},
         "one_step_sets": {str(t): level_to_json(d) for t, d in report.r.items()},
-        "bellman": {
-            "weak": report.weak_ok,
-            "strong": report.strong_ok,
-            "equality": report.equality_ok,
-            "m_rectangular": report.m_rectangular,
-            "pointed": report.pointed,
-            "rows": [
-                {
-                    "time": row.time,
-                    "weak": row.weak_ok,
-                    "strong": row.strong_ok,
-                    "equality": row.equality,
-                    "witnesses": list(row.witnesses),
-                }
-                for row in report.rows
-            ],
-        },
+        "bellman": bellman_to_json(report),
     }

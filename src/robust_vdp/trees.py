@@ -164,6 +164,27 @@ class ModelFamily:
                 out[n] = tuple(scaled[tuple(m.transition[n])] for m in self.models)
         return out
 
+    @cached_property
+    def classes(self) -> dict[str, tuple[tuple, tuple[int, ...]]]:
+        """Per non-terminal node n, the models' subtree classes at n: the
+        distinct keys ``(integer weights at n, class index at each child)``
+        in order of first occurrence, and each model's class index, in model
+        order.  Built from the horizon up; a leaf has one class (index 0).
+        Two models of one class have the same expected terminal loss at n
+        for every terminal vector."""
+        leaf = (0,) * len(self.models)
+        out: dict[str, tuple[tuple, tuple[int, ...]]] = {}
+        for level in reversed(self.tree.levels[:-1]):
+            for n in level:
+                kids = [out[c][1] if c in out else leaf for c in self.tree.children[n]]
+                found: dict = {}
+                index = tuple(
+                    found.setdefault(key, len(found))
+                    for key in zip(self.weights[n], zip(*kids))
+                )
+                out[n] = (tuple(found), index)
+        return {n: out[n] for n in self.tree.inner_nodes}
+
 
 @dataclass(frozen=True)
 class AdaptedVector:

@@ -738,6 +738,53 @@ def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> Rec
     )
 
 
+def _unless_no_sup(level, *args):
+    """level(*args), or None when one of its suprema does not exist."""
+    try:
+        return level(*args)
+    except SupNotExistsError:
+        return None
+
+
+def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:
+    """``check_preorder_rectangularity`` on the engine's set-valued levels:
+    per vector X, the forward sets V and the one-step sets R of the problem
+    whose only strategy is X, in true values, compared node by node with
+    ``Cone.leq``."""
+    vectors = list(test_vectors)
+    records = []
+    pointed = cone.is_pointed()
+    for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
+        x.check_level(tree)
+        problem = ControlledProblem(
+            tree, family, cone, engine.TABULATED, strategies={"X": x.values}
+        )
+        direct = [
+            _unless_no_sup(engine.value_sets, problem, t) for t in range(tree.horizon)
+        ]
+        for t in range(tree.horizon - 1):
+            inner = direct[t + 1]
+            nested = inner and _unless_no_sup(one_step_R, problem, t, inner)
+            if not (nested and direct[t]):
+                failure = (f"inner supremum at t={t + 1}" if inner is None
+                           else f"outer supremum at t={t}")
+                records.append(
+                    RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
+                )
+                continue
+            # each set holds the one value of the one strategy
+            pairs = [(nested[k][0], direct[t][k][0]) for k in problem.reachable[t]]
+            records.append(RectCheckRecord(
+                idx, t,
+                all(cone.leq(n, d) for n, d in pairs),
+                all(cone.leq(d, n) for n, d in pairs),
+                all(n == d for n, d in pairs) if pointed else None,
+            ))
+    return RectReport(
+        records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed
+    )
+
+
 # ---------------------------------------------------------------------------
 # random instance generation
 

@@ -376,10 +376,9 @@ def test_one_reachability_walk_per_call(tmp_path, capsys, monkeypatch):
     for argv in (["solve", "--budget", "40"], ["check-bellman"], ["pareto"], ["rect"]):
         calls.clear()
         code, _, _ = run(capsys, *argv, "--instance", str(instance))
-        # rect also walks the one-strategy problem of each test vector
-        assert code in (0, 1) and len({id(p) for p in calls}) == len(calls)
-        assert [p.mode for p in calls].count(engine.DYNAMICS) == 1
-        assert len(calls) == (21 if argv == ["rect"] else 1)
+        # rect walks its test vectors without a problem of their own
+        assert code in (0, 1)
+        assert [p.mode for p in calls] == [engine.DYNAMICS]
 
 
 # ---------------------------------------------------------------------------

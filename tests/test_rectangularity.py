@@ -20,7 +20,12 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 from robust_vdp.rectangularity import RectCheckRecord, RectReport
 
-from .oracles import nested_direct_rect_check, random_family, random_tree
+from .oracles import (
+    nested_direct_rect_check,
+    per_vector_rect_check,
+    random_family,
+    random_tree,
+)
 
 F = Fraction
 
@@ -130,7 +135,7 @@ def test_random_terminal_vectors_deterministic(full_family):
 def _rect_outcome(check, *args):
     try:
         return check(*args)
-    except DeskScaleExceededError as e:
+    except (DeskScaleExceededError, ValueError) as e:
         return type(e).__name__, str(e)
 
 
@@ -143,44 +148,70 @@ def test_level_walk_equals_nested_direct_definition():
         Cone.halfspace((1, 1)),
     ]
     # roof suprema take an exact LP each: fewer and smaller trees there
-    cases = [(cones[i % 3], random_tree(rng)) for i in range(36)]
-    cases += [(roof, random_tree(rng, 2, 2, 4)) for _ in range(6)]
+    cases = [(cones[i % 3], random_tree(rng), cones[i % 3].dim) for i in range(36)]
+    cases += [(roof, random_tree(rng, 2, 2, 4), 3) for _ in range(6)]
+    # vectors whose dimension is not the cone's
+    cases += [(cones[i % 3], random_tree(rng), 5 - cones[i % 3].dim) for i in range(6)]
     seen = Counter()
-    for i, (cone, tree) in enumerate(cases):
+    for i, (cone, tree, dim) in enumerate(cases):
         family = random_family(rng, tree, rectangular=bool(i % 2))
-        vectors = random_terminal_vectors(tree, cone.dim, 2, seed=i)
+        vectors = random_terminal_vectors(tree, dim, 2, seed=i)
         args = (cone, tree, family, vectors, i)
         report = _rect_outcome(check_preorder_rectangularity, *args)
         assert report == _rect_outcome(nested_direct_rect_check, *args)
+        assert report == _rect_outcome(per_vector_rect_check, *args)
+        if not isinstance(report, RectReport):
+            seen[report[0]] += 1
+            continue
         seen["sup failure"] += any(r.sup_failure for r in report.records)
         seen["no records"] += not report.records
         seen["counterexample"] += report.rectangular_on_sample is False
     assert seen["sup failure"] and seen["no records"] and seen["counterexample"]
+    assert seen["DimensionMismatchError"] and seen["ValueError"]
 
 
-def test_rect_check_is_v_against_one_step_r(full_family, monkeypatch):
-    calls = []
+def test_rect_check_is_one_walk_per_vector(full_family, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def vsup(cone, points, engine_vsup=engine.vsup):
+        calls["vsup points"] += len(points)
+        return engine_vsup(cone, points)
+
     for name in ("value_sets", "one_step_R"):
-        level = getattr(engine, name)
-
-        def counted(problem, t, *rest, name=name, level=level):
-            calls.append((name, problem.strategies["X"], t))
-            return level(problem, t, *rest)
-
-        monkeypatch.setattr(engine, name, counted)
-    tree = full_family.tree
-    vectors = random_terminal_vectors(tree, 2, 5, seed=3)
-    check_preorder_rectangularity(Cone.componentwise(2), tree, full_family, vectors)
-    # per vector: forward V at t < H, and R at t < H - 1 fed with V at t + 1
-    horizon = tree.horizon
-    assert calls == [
-        call
-        for x in vectors
-        for call in (
-            [("value_sets", x.values, t) for t in range(horizon)]
-            + [("one_step_R", x.values, t) for t in range(horizon - 1)]
-        )
-    ]
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    monkeypatch.setattr(engine, "vsup", counted("vsup", vsup))
+    monkeypatch.setattr(
+        engine.ControlledProblem, "__post_init__",
+        counted("ControlledProblem", engine.ControlledProblem.__post_init__),
+    )
+    # a horizon-3 family whose rows repeat
+    rng = random.Random(0)
+    deep = next(t for t in iter(lambda: random_tree(rng), None) if t.horizon == 3)
+    repeating = random_family(rng, deep, 6, level_denominators=(2, 2, 2))
+    for family in (full_family, repeating):
+        calls.clear()
+        tree = family.tree
+        vectors = random_terminal_vectors(tree, 2, 5, seed=3)
+        check_preorder_rectangularity(Cone.componentwise(2), tree, family, vectors)
+        # per vector: a direct supremum at each node of t < H, over its
+        # classes, and a nested one at each node of t < H - 1, over its
+        # distinct rows; no problem, no V and no R
+        inner = [tree.nodes_at(t) for t in range(tree.horizon)]
+        classes = sum(len(family.classes[n][0]) for level in inner for n in level)
+        rows = sum(len(family.rows[n]) for level in inner[:-1] for n in level)
+        sups = sum(map(len, inner)) + sum(map(len, inner[:-1]))
+        assert calls == {
+            "vsup": len(vectors) * sups,
+            "vsup points": len(vectors) * (classes + rows),
+        }
+        assert rows < sum(len(family.models) for level in inner[:-1] for n in level)
 
 
 def test_rect_check_on_a_horizon_one_tree(monkeypatch):

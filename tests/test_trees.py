@@ -13,11 +13,12 @@ from robust_vdp import (
     ScenarioTree,
     cond_expect,
     parse_document,
+    random_terminal_vectors,
     vsup_adapted,
 )
 from robust_vdp.data import read_text
 
-from .oracles import leq_t
+from .oracles import leq_t, random_family, random_tree
 
 F = Fraction
 
@@ -171,3 +172,49 @@ def test_vsup_adapted_reports_failures():
     res = vsup_adapted(roof, xs)
     assert res.status == NOT_EXISTS
     assert "a" in res.failures and "b" not in res.failures
+
+
+def _families():
+    """The bundled families, then random ones whose rows repeat."""
+    for name in ("binomial_tables.json", "binomial_tables_independent.json",
+                 "binomial_marginals.json"):
+        yield parse_document(read_text(name)).problem.family
+    rng = random.Random(17)
+    for i in range(30):
+        tree = random_tree(rng)
+        yield random_family(rng, tree, max_models=6, rectangular=i % 3 == 0,
+                            level_denominators=(2,) * tree.horizon)
+
+
+def test_classes_at_leaf_parents_are_the_distinct_rows():
+    for family in _families():
+        tree = family.tree
+        for n in tree.nodes_at(tree.horizon - 1):
+            rows = list(dict.fromkeys(family.weights[n]))
+            leaves = (0,) * len(tree.children[n])
+            assert family.classes[n] == (
+                tuple((row, leaves) for row in rows),
+                tuple(rows.index(row) for row in family.weights[n]),
+            )
+
+
+def test_root_classes_are_the_distinct_assignments():
+    for family in _families():
+        tree = family.tree
+        keys, index = family.classes[tree.root]
+        assignments = [m.assignment(tree) for m in family.models]
+        # one class per assignment, and one assignment per class
+        assert len(keys) == len(set(assignments)) == len(set(zip(assignments, index)))
+        assert sorted(set(index)) == list(range(len(keys)))
+
+
+def test_models_of_one_class_have_one_expectation():
+    for seed, family in enumerate(_families()):
+        tree = family.tree
+        for x in random_terminal_vectors(tree, 2, 3, seed):
+            for t in range(tree.horizon):
+                e = [cond_expect(tree, m, x, t) for m in family.models]
+                for n in tree.nodes_at(t):
+                    by_class = {}
+                    for k, e_m in zip(family.classes[n][1], e):
+                        assert by_class.setdefault(k, e_m.at(n)) == e_m.at(n)
