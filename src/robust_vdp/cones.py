@@ -202,11 +202,6 @@ class Cone:
                 kept.remove(i)
         return tuple(kept)
 
-    @property
-    def irredundant_duals(self) -> tuple[Vec, ...]:
-        """The dual rows at ``irredundant_index``."""
-        return tuple(self.duals[j] for j in self.irredundant_index)
-
     def is_pointed(self) -> bool:
         """True iff C cap (-C) = {0}."""
         return self._pointed

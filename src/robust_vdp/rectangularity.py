@@ -59,9 +59,9 @@ class RectCheckRecord:
     #: nested worst case precedes direct worst case (the rectangularity
     #: direction); None when a supremum failed to exist
     forward_holds: Optional[bool]
-    #: direct precedes nested (must always hold)
+    #: direct precedes nested (must always hold); with forward_holds on a
+    #: pointed cone, the two worst cases are equal
     reverse_holds: Optional[bool]
-    equality: Optional[bool]
     sup_failure: Optional[str] = None
 
 
@@ -70,7 +70,6 @@ class RectReport:
     records: tuple[RectCheckRecord, ...]
     n_vectors: int
     seed: Optional[int] = None
-    pointed: bool = False
 
     def _decided(self, holds) -> Optional[bool]:
         """Whether every decided check holds; None when there are checks and
@@ -137,8 +136,9 @@ def check_preorder_rectangularity(
     nested worst case sup_m E_t[sup_m E_{t+1}[X]] against the direct
     worst case sup_m E_t[X], node by node, from one integer walk of X
     (``engine.terminal_walk``).  The nested value always dominates the
-    direct one; rectangularity additionally requires the converse, and for
-    pointed cones equality.
+    direct one; rectangularity additionally requires the converse.  On a
+    pointed cone the two directions together are equality: the dual rows
+    have rank d, so equal images are equal points.
     """
     # the engine imports is_m_rectangular from this module
     from .engine import terminal_walk
@@ -148,7 +148,6 @@ def check_preorder_rectangularity(
 
     vectors = list(test_vectors)
     records = []
-    pointed = cone.is_pointed()
     # a horizon-1 tree has no (vector, t) pair to check
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
         x.check_level(tree)
@@ -159,19 +158,16 @@ def check_preorder_rectangularity(
                 failure = (f"inner supremum at t={t + 1}" if direct[t + 1] is None
                            else f"outer supremum at t={t}")
                 records.append(
-                    RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
+                    RectCheckRecord(idx, t, None, None, sup_failure=failure)
                 )
                 continue
-            # both over the level scale S_t, which the order and equality ignore
+            # both over the level scale S_t, which the order ignores
             pairs = [(nested[t][n], direct[t][n]) for n in tree.nodes_at(t)]
             records.append(
                 RectCheckRecord(
                     idx, t,
                     all(precedes(n, d) for n, d in pairs),
                     all(precedes(d, n) for n, d in pairs),
-                    all(n == d for n, d in pairs) if pointed else None,
                 )
             )
-    return RectReport(
-        records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed
-    )
+    return RectReport(records=tuple(records), n_vectors=len(vectors), seed=seed)

@@ -137,7 +137,7 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
 
     The upper bounds of the collection form the polyhedron
     ``P = {y : <b_i, y> >= alpha_i}`` with ``alpha_i = max_x <b_i, x>``.
-    Over the irredundant rows B (``Cone.irredundant_duals``, which leave P
+    Over the irredundant rows B (at ``Cone.irredundant_index``, which leave P
     and C unchanged) a supremum exists iff ``B V = alpha`` is consistent,
     and its solutions are exactly the suprema.  (<=) A solution lies in P
     and below every point of P.  (=>) A supremum V has ``B V = beta >=

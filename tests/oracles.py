@@ -42,7 +42,6 @@ from robust_vdp import engine
 from robust_vdp.engine import (
     UpperImageReport,
     UpperImageRow,
-    _cone_perturbations,
     _selections,
     _sup_or_raise,
 )
@@ -600,7 +599,8 @@ def fraction_vsup(cone: Cone, xs) -> SupResult:
     if cone.dual_rank == len(cone.duals):
         return _fraction_dual_solution(cone, cone.duals, pts)
     b_rows = cone.duals
-    found = _fraction_dual_solution(cone, cone.irredundant_duals, pts)
+    irredundant = [cone.duals[j] for j in cone.irredundant_index]
+    found = _fraction_dual_solution(cone, irredundant, pts)
     if found is not None:
         return found
     alpha = [max(dot(b, p) for p in pts) for b in b_rows]
@@ -651,24 +651,14 @@ def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
     gens = {t: engine.upper_image(problem, t) for t in range(tree.horizon + 1)}
     rows = []
     for t in range(tree.horizon):
-        dim = len(next(iter(gens[t + 1].values()))[0])
-        perturbed = {
-            key: tuple(dict.fromkeys(
-                tuple(x + p for x, p in zip(g, pert))
-                for g in vals
-                for pert in _cone_perturbations(dim)
-            ))
-            for key, vals in gens[t + 1].items()
-        }
-        rec_perturbed = per_model_one_step_sets(problem, t, perturbed)
-        rec_pure = per_model_one_step_sets(problem, t, gens[t + 1]) if rect else None
+        rec = per_model_one_step_sets(problem, t, gens[t + 1])
         ok = True
         eq = True if rect else None
         witnesses = []
         n_checked = 0
         for key in problem.reachable[t]:
             target = gens[t][key]
-            for x in rec_perturbed[key]:
+            for x in rec[key]:
                 n_checked += 1
                 if not any(problem.cone.leq(g, x) for g in target):
                     ok = False
@@ -677,7 +667,7 @@ def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
                         f"t={t}, (node, state)={key}"
                     )
             if rect:
-                mins = set(engine.minimal_elements(rec_pure[key], problem.cone))
+                mins = set(engine.minimal_elements(rec[key], problem.cone))
                 if mins != set(target):
                     eq = False
                     witnesses.append(
@@ -699,43 +689,39 @@ def leq_t(cone: Cone, x, y) -> bool:
     return all(cone.leq(x.at(n), y.at(n)) for n in x.values)
 
 
+def nested_direct_values(cone, tree, family, x, t):
+    """The nested worst case sup_m E_t[sup_m E_{t+1}[x]] and the direct one
+    sup_m E_t[x] by definition, each from its own conditional expectations
+    of the terminal vector x, or the failure when a supremum does not
+    exist."""
+    inner = vsup_adapted(cone, [cond_expect(tree, m, x, t + 1) for m in family.models])
+    if inner.status == NOT_EXISTS:
+        return f"inner supremum at t={t + 1}"
+    nested = vsup_adapted(
+        cone, [cond_expect(tree, m, inner.value, t) for m in family.models]
+    )
+    direct = vsup_adapted(cone, [cond_expect(tree, m, x, t) for m in family.models])
+    if nested.status == NOT_EXISTS or direct.status == NOT_EXISTS:
+        return f"outer supremum at t={t}"
+    return nested.value, direct.value
+
+
 def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:
     """``check_preorder_rectangularity`` by definition: per (vector, t), the
-    inner, nested and direct worst cases each from their own conditional
-    expectations of the terminal vector."""
+    nested and direct worst cases of ``nested_direct_values``."""
     vectors = list(test_vectors)
     records = []
-    pointed = cone.is_pointed()
     for idx, x in enumerate(vectors):
         for t in range(tree.horizon - 1):
-            inner = vsup_adapted(
-                cone, [cond_expect(tree, m, x, t + 1) for m in family.models]
-            )
-            if inner.status == NOT_EXISTS:
-                records.append(RectCheckRecord(
-                    idx, t, None, None, None, sup_failure=f"inner supremum at t={t + 1}"
-                ))
+            values = nested_direct_values(cone, tree, family, x, t)
+            if isinstance(values, str):
+                records.append(RectCheckRecord(idx, t, None, None, sup_failure=values))
                 continue
-            nested = vsup_adapted(
-                cone, [cond_expect(tree, m, inner.value, t) for m in family.models]
-            )
-            direct = vsup_adapted(
-                cone, [cond_expect(tree, m, x, t) for m in family.models]
-            )
-            if nested.status == NOT_EXISTS or direct.status == NOT_EXISTS:
-                records.append(RectCheckRecord(
-                    idx, t, None, None, None, sup_failure=f"outer supremum at t={t}"
-                ))
-                continue
+            nested, direct = values
             records.append(RectCheckRecord(
-                idx, t,
-                leq_t(cone, nested.value, direct.value),
-                leq_t(cone, direct.value, nested.value),
-                (nested.value.values == direct.value.values) if pointed else None,
+                idx, t, leq_t(cone, nested, direct), leq_t(cone, direct, nested)
             ))
-    return RectReport(
-        records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed
-    )
+    return RectReport(records=tuple(records), n_vectors=len(vectors), seed=seed)
 
 
 def _unless_no_sup(level, *args):
@@ -753,7 +739,6 @@ def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectRe
     ``Cone.leq``."""
     vectors = list(test_vectors)
     records = []
-    pointed = cone.is_pointed()
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
         x.check_level(tree)
         problem = ControlledProblem(
@@ -769,7 +754,7 @@ def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectRe
                 failure = (f"inner supremum at t={t + 1}" if inner is None
                            else f"outer supremum at t={t}")
                 records.append(
-                    RectCheckRecord(idx, t, None, None, None, sup_failure=failure)
+                    RectCheckRecord(idx, t, None, None, sup_failure=failure)
                 )
                 continue
             # each set holds the one value of the one strategy
@@ -778,11 +763,8 @@ def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectRe
                 idx, t,
                 all(cone.leq(n, d) for n, d in pairs),
                 all(cone.leq(d, n) for n, d in pairs),
-                all(n == d for n, d in pairs) if pointed else None,
             ))
-    return RectReport(
-        records=tuple(records), n_vectors=len(vectors), seed=seed, pointed=pointed
-    )
+    return RectReport(records=tuple(records), n_vectors=len(vectors), seed=seed)
 
 
 # ---------------------------------------------------------------------------

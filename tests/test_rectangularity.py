@@ -22,6 +22,7 @@ from robust_vdp.rectangularity import RectCheckRecord, RectReport
 
 from .oracles import (
     nested_direct_rect_check,
+    nested_direct_values,
     per_vector_rect_check,
     random_family,
     random_tree,
@@ -96,10 +97,16 @@ def test_preorder_check_on_rectangular_family(full_family):
     cone = Cone.componentwise(2)
     vectors = random_terminal_vectors(tree, 2, 25, seed=7)
     report = check_preorder_rectangularity(cone, tree, full_family, vectors, seed=7)
-    assert report.pointed
     assert report.rectangular_on_sample
     assert report.reverse_ok
-    assert all(r.equality for r in report.records)
+    # on a pointed cone both directions mean equal worst cases
+    assert cone.is_pointed()
+    for r in report.records:
+        assert r.forward_holds and r.reverse_holds
+        nested, direct = nested_direct_values(
+            cone, tree, full_family, vectors[r.test_vector], r.time
+        )
+        assert nested.values == direct.values
     assert "no counterexample found" in report.summary()
 
 
@@ -116,7 +123,7 @@ def test_preorder_check_detects_non_rectangular(independent_family):
 
 
 def test_report_without_a_decided_check_is_undecided():
-    undecided = RectCheckRecord(0, 0, None, None, None, sup_failure="inner supremum")
+    undecided = RectCheckRecord(0, 0, None, None, sup_failure="inner supremum")
     report = RectReport(records=(undecided,), n_vectors=1)
     assert (report.rectangular_on_sample, report.reverse_ok) == (None, None)
     assert report.summary().startswith("no check decided")

@@ -303,7 +303,7 @@ def _in_generated_cone(rows, x) -> bool:
 
 def test_irredundant_duals_once_per_cone(roof, monkeypatch):
     for cone in oracle_cones(roof).values():
-        kept = list(cone.irredundant_duals)
+        kept = [cone.duals[j] for j in cone.irredundant_index]
         dropped = list(cone.duals)
         for row in kept:
             dropped.remove(row)
