@@ -61,7 +61,6 @@ from .suprema import (
     UNIQUE,
     SupResult,
     vsup,
-    vsup_componentwise,
     vsup_dual_li,
     vsup_general,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "value_sets",
     "vsup",
     "vsup_adapted",
-    "vsup_componentwise",
     "vsup_dual_li",
     "vsup_general",
 ]

@@ -29,9 +29,11 @@ from itertools import product
 from math import lcm, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
+from . import suprema
 from .cones import COMPONENTWISE, Cone, minimal_elements
 from .errors import (
     DeskScaleExceededError,
+    DimensionMismatchError,
     InstanceError,
     SupNotExistsError,
     UnsupportedConeError,
@@ -106,6 +108,10 @@ class ControlledProblem:
         if self.mode == DYNAMICS:
             if self.dynamics is None:
                 raise ValueError("dynamics mode needs a DynamicsSpec")
+            losses = (
+                (f"loss of terminal state {s!r}", v)
+                for s, v in self.dynamics.loss.items()
+            )
         elif self.mode == TABULATED:
             if not self.strategies:
                 raise ValueError("tabulated mode needs at least one strategy")
@@ -115,8 +121,19 @@ class ControlledProblem:
                     raise ValueError(
                         f"strategy {name!r} must define a loss on every leaf"
                     )
+            losses = (
+                (f"loss of strategy {name!r} at leaf {leaf!r}", v)
+                for name, table in self.strategies.items()
+                for leaf, v in table.items()
+            )
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        # the engine's suprema take its vectors unchecked (``_sup_or_raise``)
+        for what, v in losses:
+            if len(v) != self.cone.dim:
+                raise DimensionMismatchError(
+                    f"{what} has dimension {len(v)}, the cone {self.cone.dim}"
+                )
 
     @cached_property
     def reachable(self) -> dict[int, dict[tuple[str, str], Moves]]:
@@ -152,6 +169,13 @@ class ControlledProblem:
     @cached_property
     def profile_levels(self) -> dict[int, ProfileLevel]:
         """Forward levels by time, filled from the horizon down by ``value_sets``."""
+        return {}
+
+    @cached_property
+    def scaled_levels(self) -> dict[tuple[str, int], LevelSets]:
+        """The level each of ``value_sets`` ("v"), ``backward_value`` ("b")
+        and ``one_step_R`` ("r") built last, by family and time, over the
+        level scale S_t; ``check_bellman`` decides on these."""
         return {}
 
     # -- a uniform (state, control) view over both modes ---------------------
@@ -236,6 +260,11 @@ def enumerate_strategies(
 
 
 def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
+    """The supremum of engine-built points, which are exact and of the
+    cone's dimension: on the component-wise order the kernel alone, without
+    ``vsup``'s coercion and checks."""
+    if problem.cone.kind == COMPONENTWISE:
+        return suprema.vsup_componentwise(points)
     res = vsup(problem.cone, points)
     if res.status == NOT_EXISTS:
         raise SupNotExistsError(f"supremum does not exist at {context}")
@@ -359,13 +388,14 @@ def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     levels = problem.profile_levels
     for s in range(min(levels, default=problem.tree.horizon + 1) - 1, t - 1, -1):
         levels[s] = _profile_level(problem, s, levels.get(s + 1))
-    return _level_true({
+    level = problem.scaled_levels["v", t] = {
         (node, state): tuple(dict.fromkeys(
             _sup_or_raise(problem, p, f"t={t}, node={node!r}, strategy")
             for p in profs
         ))
         for (node, state), profs in levels[t].items()
-    }, problem.scales[t])
+    }
+    return _level_true(level, problem.scales[t])
 
 
 def _one_step_sets(
@@ -394,6 +424,7 @@ def backward_value(problem: ControlledProblem) -> dict[int, LevelSets]:
     out: dict[int, LevelSets] = {horizon: _terminal_level(problem)}
     for t in range(horizon - 1, -1, -1):
         out[t] = _one_step_sets(problem, t, out[t + 1])
+    problem.scaled_levels.update((("b", t), lvl) for t, lvl in out.items())
     return {t: _level_true(lvl, problem.scales[t]) for t, lvl in out.items()}
 
 
@@ -402,9 +433,10 @@ def one_step_R(
 ) -> LevelSets:
     """One-step recursion fed with the exact forward value sets at t+1."""
     scales = problem.scales
-    return _level_true(
-        _one_step_sets(problem, t, _level_at_scale(v_next, scales[t + 1])), scales[t]
+    level = problem.scaled_levels["r", t] = _one_step_sets(
+        problem, t, _level_at_scale(v_next, scales[t + 1])
     )
+    return _level_true(level, scales[t])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +445,13 @@ def one_step_R(
 
 def _node_sups(cone: Cone, points_by_node) -> Optional[NodeValues]:
     """Per node, the supremum of its points; None at the first supremum
-    that does not exist."""
+    that does not exist.  The points are exact and of the cone's dimension,
+    so the component-wise order takes its kernel alone."""
+    if cone.kind == COMPONENTWISE:
+        return {
+            node: suprema.vsup_componentwise(points)
+            for node, points in points_by_node
+        }
     out: NodeValues = {}
     for node, points in points_by_node:
         res = vsup(cone, points)
@@ -515,23 +553,29 @@ _RELATIONS = (
 def check_bellman(problem: ControlledProblem) -> BellmanReport:
     """Build V, B and R once each, in that order, and evaluate all Bellman
     inclusions and the set equality per time.  R at t is B at t wherever
-    V and B, the inputs of their one-step maps, agree at t+1."""
+    V and B, the inputs of their one-step maps, agree at t+1.  Both are
+    decided on the levels over S_t that the three builders leave on the
+    problem (``ControlledProblem.scaled_levels``)."""
     tree = problem.tree
     cone = problem.cone
     v_all = {t: value_sets(problem, t) for t in range(tree.horizon + 1)}
     b_all = backward_value(problem)
-    r_all = {t: b_all[t] if v_all[t + 1] == b_all[t + 1]
-             else one_step_R(problem, t, v_all[t + 1]) for t in range(tree.horizon)}
+    scaled = problem.scaled_levels
+    r_all: dict[int, LevelSets] = {}
+    r_scaled: dict[int, LevelSets] = {}
+    for t in range(tree.horizon):
+        if scaled["v", t + 1] == scaled["b", t + 1]:
+            r_all[t], r_scaled[t] = b_all[t], scaled["b", t]
+        else:
+            r_all[t] = one_step_R(problem, t, v_all[t + 1])
+            r_scaled[t] = scaled["r", t]
 
     def relations(x, y):
         return cone.set_precurly(x, y), cone.set_curlyprec(x, y)
 
     rows = []
     for t in range(tree.horizon):
-        # decided over S_t
-        s = problem.scales[t]
-        v_lvl, b_lvl = _level_at_scale(v_all[t], s), _level_at_scale(b_all[t], s)
-        r_lvl = b_lvl if r_all[t] is b_all[t] else _level_at_scale(r_all[t], s)
+        v_lvl, b_lvl, r_lvl = scaled["v", t], scaled["b", t], r_scaled[t]
         failed: list[tuple[str, tuple[str, str]]] = []
         for key in v_lvl:
             v, b, r = v_lvl[key], b_lvl[key], r_lvl[key]

@@ -27,7 +27,7 @@ from .engine import (
 from .errors import InstanceError
 from .exactlp import Vec, frac
 from .rectangularity import rectangularize
-from .trees import Model, ModelFamily, ScenarioTree
+from .trees import Model, ModelFamily, ScenarioTree, sums_to_one
 
 CURRENT_VERSION = 1
 
@@ -92,9 +92,8 @@ def _probability_row(value, tree: ScenarioTree, node: str, path: str) -> Vec:
     if node not in tree.inner_nodes:
         raise InstanceError(path, "dangling node reference")
     p = _vec_at(value, path, len(tree.children[node]))
-    s = sum(p)
-    if s != 1:
-        raise InstanceError(path, f"sum {s} != 1")
+    if not sums_to_one(p):
+        raise InstanceError(path, f"sum {sum(p)} != 1")
     if any(x < 0 for x in p):
         raise InstanceError(path, "negative probability")
     return p

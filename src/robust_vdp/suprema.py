@@ -60,10 +60,15 @@ def _require_points(xs) -> list[Vec]:
     return pts
 
 
-def vsup_componentwise(xs: Iterable[Iterable]) -> Vec:
-    """Coordinate-wise maximum: the unique supremum under the order R^d_+."""
-    pts = _require_points(xs)
-    return tuple(max(p[i] for p in pts) for i in range(len(pts[0])))
+def vsup_componentwise(pts: Sequence[Vec]) -> Vec:
+    """Coordinate-wise maximum: the unique supremum under the order R^d_+.
+
+    The kernel of the component-wise route: the points must be exact and of
+    one dimension, as ``vsup`` checks them at the public boundary and the
+    engine builds them.  A single point is its own supremum."""
+    if not pts:
+        raise ValueError("supremum of an empty collection is undefined")
+    return tuple(map(max, zip(*pts)))
 
 
 def _scaled_alpha(cone: Cone, pts: list[Vec]) -> tuple[list[int], int]:
@@ -189,10 +194,10 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
 
 
 def vsup(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
-    """Dispatch to the cheapest applicable supremum routine (which coerces
-    and checks the points)."""
+    """Dispatch to the cheapest applicable supremum routine.  Every route
+    coerces the points to exact rationals and checks their dimension."""
     if cone.kind == COMPONENTWISE:
-        return SupResult(UNIQUE, value=vsup_componentwise(xs))
+        return SupResult(UNIQUE, value=vsup_componentwise(_require_points(xs)))
     if cone.duals is not None and cone.dual_rank == len(cone.duals):
         return vsup_dual_li(cone, xs)
     return vsup_general(cone, xs)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
@@ -78,6 +79,13 @@ class ScenarioTree:
         return self.labels.get(child, child)
 
 
+def sums_to_one(p: Sequence) -> bool:
+    """Whether the exact rationals p sum to 1, decided on their numerators
+    over the lcm of their denominators: integer additions only."""
+    d = lcm(*(x.denominator for x in p))
+    return sum(x.numerator * (d // x.denominator) for x in p) == d
+
+
 def _check_row(model_id: str, tree: ScenarioTree, n: str, p) -> None:
     """A model's row at the non-terminal node n: present, one probability
     per child, nonnegative, summing to 1."""
@@ -87,7 +95,7 @@ def _check_row(model_id: str, tree: ScenarioTree, n: str, p) -> None:
         raise ValueError(f"model {model_id}: transition at {n!r} has wrong arity")
     if any(x < 0 for x in p):
         raise ValueError(f"model {model_id}: negative probability at {n!r}")
-    if sum(p) != 1:
+    if not sums_to_one(p):
         raise ValueError(
             f"model {model_id}: probabilities at {n!r} sum to {sum(p)} != 1"
         )
@@ -218,13 +226,13 @@ def expect(probs: Sequence, points: Sequence[Vec]) -> Vec:
     coordinate by coordinate.  Exact.  The weights are probabilities, or a
     row's integer weights p * D_t on child values over a level scale (see
     ``ControlledProblem.scales``); integer weights on integer coordinates
-    give integers."""
-    terms = zip(probs, points)
-    p, x = next(terms)
-    acc = [p * xi for xi in x]
-    for p, x in terms:
-        acc = [a + p * xi for a, xi in zip(acc, x)]
-    return tuple(acc)
+    give integers.  Each coordinate is one sum of products started at the
+    first product, as in ``exactlp.dot``."""
+    out = []
+    for col in zip(*points):
+        products = map(mul, probs, col)
+        out.append(sum(products, next(products)))
+    return tuple(out)
 
 
 def cond_expect(

@@ -60,7 +60,30 @@ from robust_vdp.exactlp import (
     vec,
 )
 from robust_vdp.rectangularity import RectCheckRecord
-from robust_vdp.trees import expect
+
+
+def accumulating_expect(probs, points) -> tuple:
+    """``trees.expect`` by accumulation: the first child's weighted vector,
+    then one new list per further child."""
+    terms = zip(probs, points)
+    p, x = next(terms)
+    acc = [p * xi for xi in x]
+    for p, x in terms:
+        acc = [a + p * xi for a, xi in zip(acc, x)]
+    return tuple(acc)
+
+
+def coercing_vsup_componentwise(xs) -> tuple:
+    """The coordinate-wise maximum of the points, taken coordinate by
+    coordinate after coercing each point with ``exact`` and checking that
+    they share one dimension."""
+    pts = [exact(x) for x in xs]
+    if not pts:
+        raise ValueError("supremum of an empty collection is undefined")
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise ValueError("all vectors must share one dimension")
+    return tuple(max(p[i] for p in pts) for i in range(d))
 
 
 def is_upper_bound(cone: Cone, points, v) -> bool:
@@ -218,7 +241,7 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
         if tt == tree.horizon:
             return leaves[nn]
         kids = [below(model, c, tt + 1, leaves) for c in tree.children[nn]]
-        return expect(model.transition[nn], kids)
+        return accumulating_expect(model.transition[nn], kids)
 
     out = {}
     for node, state in problem.reachable[t]:
@@ -247,7 +270,9 @@ def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> di
         rows = [m.transition[node] for m in problem.family.models]
         context = f"t={t}, node={node!r}, selector"
         out[(node, state)] = tuple(dict.fromkeys(
-            _sup_or_raise(problem, [expect(row, combo) for row in rows], context)
+            _sup_or_raise(
+                problem, [accumulating_expect(row, combo) for row in rows], context
+            )
             for combo in _selections(problem, t, node, state, next_sets)
         ))
     return out
@@ -736,8 +761,12 @@ def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectRe
     """``check_preorder_rectangularity`` on the engine's set-valued levels:
     per vector X, the forward sets V and the one-step sets R of the problem
     whose only strategy is X, in true values, compared node by node with
-    ``Cone.leq``."""
+    ``Cone.leq``.  A problem whose loss is not of the cone's dimension is
+    refused where it is built, so vectors of another dimension are checked
+    by definition (``nested_direct_rect_check``)."""
     vectors = list(test_vectors)
+    if any(x.dim != cone.dim for x in vectors):
+        return nested_direct_rect_check(cone, tree, family, vectors, seed)
     records = []
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
         x.check_level(tree)

@@ -11,6 +11,7 @@ from robust_vdp import (
     Cone,
     ControlledProblem,
     DeskScaleExceededError,
+    DimensionMismatchError,
     DynamicsSpec,
     Model,
     ModelFamily,
@@ -30,7 +31,7 @@ from robust_vdp import (
     upper_image,
     value_sets,
 )
-from robust_vdp import engine
+from robust_vdp import engine, suprema
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
@@ -332,6 +333,51 @@ def test_equality_on_random_rectangular_instances():
         report = check_bellman(problem)
         assert report.m_rectangular is True
         assert report.weak_ok and report.strong_ok and report.equality_ok
+
+
+@pytest.mark.parametrize("controls", [("to_x", "to_y"), ("split",)])
+def test_dynamics_loss_of_another_dimension_is_refused(controls):
+    # unchecked, two controls reaching one state each gave the mixed set
+    # {(1, 2), (3,)}, and one control reaching both a truncated (7/3,)
+    tree = one_period_tree()
+    moves = {"to_x": ("x", "x"), "to_y": ("y", "y"), "split": ("x", "y")}
+    dynamics = DynamicsSpec(
+        initial_state="s",
+        admissible={(0, "s"): controls},
+        transition={
+            (0, "s", a, label): state
+            for a in controls for label, state in zip(("up", "down"), moves[a])
+        },
+        loss={"x": (1, 2), "y": (3,)},
+    )
+    family = ModelFamily(
+        tree=tree, models=(Model(id="m", transition={"r": (F(1, 3), F(2, 3))}),)
+    )
+    with pytest.raises(
+        DimensionMismatchError,
+        match=r"^loss of terminal state 'y' has dimension 1, the cone 2$",
+    ):
+        ControlledProblem(
+            tree=tree, family=family, cone=Cone.componentwise(2),
+            mode="dynamics", dynamics=dynamics,
+        )
+
+
+def test_tabulated_loss_of_another_dimension_is_refused():
+    tree = one_period_tree()
+    family = uniform_family(tree)
+    strategies = {
+        "phi": {"a": (1, 2), "b": (3, 4)},
+        "psi": {"a": (1, 2), "b": (3, 4, 5)},
+    }
+    with pytest.raises(
+        DimensionMismatchError,
+        match=r"^loss of strategy 'psi' at leaf 'b' has dimension 3, the cone 2$",
+    ):
+        ControlledProblem(
+            tree=tree, family=family, cone=Cone.componentwise(2),
+            mode="tabulated", strategies=strategies,
+        )
 
 
 def test_sup_failure_is_reported():
@@ -822,3 +868,57 @@ def test_componentwise_kernel_takes_only_integers(monkeypatch):
     # rows over 3, 5 and 7 and losses in halves and thirds give real scales
     assert {3, 5, 7} <= {d for p in problems for d in p.family.denominators}
     assert {2, 3, 6} <= {p.scales[-1] for p in problems}
+
+
+@pytest.mark.parametrize("source", [
+    "binomial_tables.json", "binomial_marginals.json",
+    "binomial_tables_independent.json", 19,
+])
+def test_check_bellman_takes_componentwise_suprema_on_the_kernel(source, monkeypatch):
+    # every engine supremum on the component-wise cone is one kernel call
+    # on the engine's own tuples: no ``vsup`` dispatch, no ``SupResult``;
+    # and only ``one_step_R``'s true-scale input is scaled up again
+    if isinstance(source, int):  # horizon 3, non-rectangular: R is rebuilt at 0
+        problem = random_dynamics_problem(random.Random(source), max_models=3)
+    else:
+        problem = parse_document(read_text(source)).problem
+    calls = Counter()
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def level_at_scale(level, s, _fn=engine._level_at_scale):
+        calls["_level_at_scale in one_step_R" if "one_step_R" in inside
+              else "_level_at_scale elsewhere"] += 1
+        return _fn(level, s)
+
+    for name in ("vsup", "_sup_or_raise", "one_step_R"):
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+    monkeypatch.setattr(suprema, "SupResult", counted("SupResult", suprema.SupResult))
+    monkeypatch.setattr(suprema, "vsup_componentwise",
+                        counted("kernel", suprema.vsup_componentwise))
+    monkeypatch.setattr(engine, "_level_at_scale", level_at_scale)
+    report = check_bellman(problem)
+    assert problem.cone.kind == "componentwise"
+    # as many suprema as ``vsup`` calls when each engine supremum went
+    # through ``vsup``: 20 on each bundled instance, 71 on the seeded one
+    sups = 71 if source == 19 else 20
+    rebuilt = [t for t in range(problem.tree.horizon)
+               if report.v[t + 1] != report.b[t + 1]]
+    assert calls == Counter({
+        "_sup_or_raise": sups,
+        "kernel": sups,
+        "one_step_R": len(rebuilt),
+        "_level_at_scale in one_step_R": len(rebuilt),
+    })
+    if source == 19:
+        assert rebuilt == [0]

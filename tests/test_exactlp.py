@@ -366,7 +366,8 @@ try:
 
     @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
     def test_componentwise_sup_is_an_upper_bound_hypothesis(pts):
-        from robust_vdp import Cone, vsup_componentwise
+        from robust_vdp import Cone
+        from robust_vdp.suprema import vsup_componentwise
 
         cone = Cone.componentwise(2)
         v = vsup_componentwise(pts)

@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,8 @@ from robust_vdp import (
     serialize_instance,
 )
 from robust_vdp.data import read_text
+
+F = Fraction
 
 BUNDLED = [
     "binomial_tables.json",
@@ -56,6 +60,21 @@ def test_probability_sum_error_message():
     doc["models"]["explicit"][0]["transition"]["n0"] = ["1/4", "1"]
     with pytest.raises(InstanceError, match=r"sum 5/4 != 1"):
         parse_document(json.dumps(doc)).problem
+
+
+def test_rows_are_summed_on_integers(monkeypatch):
+    # each probability row is checked on its numerators over the lcm of its
+    # denominators, by the parser and by the family: parsing adds no Fraction
+    added = Counter()
+    for name in ("__add__", "__radd__"):
+        def counted(a, b, _fn=getattr(Fraction, name), _name=name):
+            added[_name] += 1
+            return _fn(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    for name in BUNDLED:
+        parse_document(read_text(name))
+    assert added == {}
+    assert F(1, 2) + F(1, 3) == F(5, 6) and added  # the counter is live
 
 
 def test_empty_model_family_rejected():

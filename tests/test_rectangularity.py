@@ -15,7 +15,7 @@ from robust_vdp import (
     random_terminal_vectors,
     rectangularize,
 )
-from robust_vdp import engine, trees
+from robust_vdp import engine, suprema, trees
 from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 from robust_vdp.rectangularity import RectCheckRecord, RectReport
@@ -187,13 +187,14 @@ def test_rect_check_is_one_walk_per_vector(full_family, monkeypatch):
 
         return wrapper
 
-    def vsup(cone, points, engine_vsup=engine.vsup):
+    def kernel(points, componentwise=suprema.vsup_componentwise):
         calls["vsup points"] += len(points)
-        return engine_vsup(cone, points)
+        return componentwise(points)
 
-    for name in ("value_sets", "one_step_R"):
+    for name in ("value_sets", "one_step_R", "vsup"):
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
-    monkeypatch.setattr(engine, "vsup", counted("vsup", vsup))
+    # the component-wise suprema take the kernel alone, looked up at call time
+    monkeypatch.setattr(suprema, "vsup_componentwise", counted("kernel", kernel))
     monkeypatch.setattr(
         engine.ControlledProblem, "__post_init__",
         counted("ControlledProblem", engine.ControlledProblem.__post_init__),
@@ -209,13 +210,13 @@ def test_rect_check_is_one_walk_per_vector(full_family, monkeypatch):
         check_preorder_rectangularity(Cone.componentwise(2), tree, family, vectors)
         # per vector: a direct supremum at each node of t < H, over its
         # classes, and a nested one at each node of t < H - 1, over its
-        # distinct rows; no problem, no V and no R
+        # distinct rows; no problem, no V, no R and no ``vsup`` dispatch
         inner = [tree.nodes_at(t) for t in range(tree.horizon)]
         classes = sum(len(family.classes[n][0]) for level in inner for n in level)
         rows = sum(len(family.rows[n]) for level in inner[:-1] for n in level)
         sups = sum(map(len, inner)) + sum(map(len, inner[:-1]))
         assert calls == {
-            "vsup": len(vectors) * sups,
+            "kernel": len(vectors) * sups,
             "vsup points": len(vectors) * (classes + rows),
         }
         assert rows < sum(len(family.models) for level in inner[:-1] for n in level)

@@ -13,7 +13,6 @@ from robust_vdp import (
     NOT_EXISTS,
     UNIQUE,
     vsup,
-    vsup_componentwise,
     vsup_dual_li,
     vsup_general,
 )
@@ -21,8 +20,14 @@ from robust_vdp import suprema
 from robust_vdp.data import read_text
 from robust_vdp.exactlp import dot, lp, lp_standard, vadd
 from robust_vdp.instance import _parse_cone
+from robust_vdp.suprema import vsup_componentwise
 
-from .oracles import beta_lp_vsup_general, is_supremum, is_upper_bound
+from .oracles import (
+    beta_lp_vsup_general,
+    coercing_vsup_componentwise,
+    is_supremum,
+    is_upper_bound,
+)
 
 F = Fraction
 
@@ -44,6 +49,38 @@ def test_componentwise_max():
 def test_componentwise_empty_rejected():
     with pytest.raises(ValueError):
         vsup_componentwise([])
+
+
+def test_componentwise_kernel_equals_coercing_oracle():
+    # on exact points of one dimension, one point or several, the kernel and
+    # the public route give the oracle's values with its coordinate types
+    rng = random.Random(71)
+    singles = 0
+    for _ in range(300):
+        d, n = rng.randint(1, 4), rng.choice((1, 1, 2, 3, 5))
+        pts = [
+            tuple(rng.randint(-9, 9) if rng.random() < 0.5
+                  else F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(d))
+            for _ in range(n)
+        ]
+        want = coercing_vsup_componentwise(pts)
+        for got in (vsup_componentwise(pts), vsup(Cone.componentwise(d), pts).value):
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+        singles += n == 1
+    assert singles > 50
+    # the public route still coerces: lists and "p/q" strings
+    pts = [[1, "1/2"], ("3/4", F(-1))]
+    assert vsup(Cone.componentwise(2), pts).value == coercing_vsup_componentwise(pts)
+
+
+def test_public_componentwise_route_checks_its_points():
+    cone = Cone.componentwise(2)
+    for pts, message in (([], "empty collection"), ([(1, 2), (3,)], "one dimension")):
+        with pytest.raises(ValueError, match=message):
+            vsup(cone, pts)
+        with pytest.raises(ValueError, match=message):
+            coercing_vsup_componentwise(pts)
 
 
 def test_dispatcher_componentwise():

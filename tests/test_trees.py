@@ -17,8 +17,9 @@ from robust_vdp import (
     vsup_adapted,
 )
 from robust_vdp.data import read_text
+from robust_vdp.trees import expect, sums_to_one
 
-from .oracles import leq_t, random_family, random_tree
+from .oracles import accumulating_expect, leq_t, random_family, random_tree
 
 F = Fraction
 
@@ -218,3 +219,42 @@ def test_models_of_one_class_have_one_expectation():
                     by_class = {}
                     for k, e_m in zip(family.classes[n][1], e):
                         assert by_class.setdefault(k, e_m.at(n)) == e_m.at(n)
+
+
+def _coordinate(rng, kind):
+    """An int, or a Fraction over a small denominator (an integral value
+    stays a Fraction)."""
+    if kind is int:
+        return rng.randint(-20, 20)
+    return F(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 8)))
+
+
+def test_expect_equals_accumulating_oracle():
+    # the same values and the same coordinate types as the accumulation,
+    # on int and Fraction weights and points, one child and several
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(400):
+        k, d = rng.randint(1, 4), rng.randint(1, 4)
+        weight_kind, point_kind = rng.choice((int, F)), rng.choice((int, F))
+        probs = tuple(_coordinate(rng, weight_kind) for _ in range(k))
+        points = [tuple(_coordinate(rng, point_kind) for _ in range(d))
+                  for _ in range(k)]
+        got, want = expect(probs, points), accumulating_expect(probs, points)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+        seen.add((weight_kind, point_kind, k == 1, type(got[0])))
+    # every case met; int results only from int weights on int points
+    assert seen == {
+        (w, x, single, int if w is x is int else F)
+        for w in (int, F) for x in (int, F) for single in (False, True)
+    }
+
+
+def test_row_sum_is_decided_on_integers():
+    rng = random.Random(67)
+    for _ in range(300):
+        row = [_coordinate(rng, rng.choice((int, F))) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # complete the row to 1
+            row.append(1 - sum(row))
+        assert sums_to_one(row) == (sum(row) == 1)
