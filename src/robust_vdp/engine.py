@@ -18,6 +18,11 @@ integer weights stay integers on integer values.  The cone order, set
 order, dedup and suprema commute with one positive scale per level, so
 the verdicts are those of the true values; public functions divide the
 values back into ``Fraction``s before returning them.
+
+On the component-wise order over a product family the forward recursion
+collapses to the backward one (``ControlledProblem.collapsed``): a
+strategy's worst case over the models is then the nested node-by-node
+maximum, so V = B by construction and B takes V's levels.
 """
 
 from __future__ import annotations
@@ -167,8 +172,20 @@ class ControlledProblem:
         return tuple(reversed(scales))
 
     @cached_property
-    def profile_levels(self) -> dict[int, ProfileLevel]:
-        """Forward levels by time, filled from the horizon down by ``value_sets``."""
+    def collapsed(self) -> bool:
+        """Whether forward V takes the collapsed recursion: on the
+        component-wise order over a product family (``is_m_rectangular``),
+        the worst case of a nonnegatively weighted sum over the models is
+        the nested node-by-node maximum, so a strategy's profile is one
+        vector, its forward value, and forward V is the one-step map
+        iterated from the terminal level."""
+        return self.cone.kind == COMPONENTWISE and is_m_rectangular(self.family)
+
+    @cached_property
+    def profile_levels(self) -> dict[int, ProfileLevel | LevelSets]:
+        """Forward levels by time, filled from the horizon down by
+        ``value_sets``: profile levels, or on a collapsed problem the value
+        levels themselves."""
         return {}
 
     @cached_property
@@ -176,6 +193,13 @@ class ControlledProblem:
         """The level each of ``value_sets`` ("v"), ``backward_value`` ("b")
         and ``one_step_R`` ("r") built last, by family and time, over the
         level scale S_t; ``check_bellman`` decides on these."""
+        return {}
+
+    @cached_property
+    def true_vectors(self) -> dict[int, dict[tuple, Vec]]:
+        """Per level scale s, each scaled vector divided back by s once
+        (``_level_true``), so that V, B and R share their ``Fraction``
+        tuples."""
         return {}
 
     # -- a uniform (state, control) view over both modes ---------------------
@@ -320,8 +344,18 @@ def _level_at_scale(level: Mapping, s: int) -> LevelSets:
     return {key: tuple(_at_scale(v, s) for v in vals) for key, vals in level.items()}
 
 
-def _level_true(level: Mapping, s: int) -> LevelSets:
-    return {key: tuple(_true(v, s) for v in vals) for key, vals in level.items()}
+def _level_true(problem: ControlledProblem, level: Mapping, s: int) -> LevelSets:
+    """The level over the scale s in true values, each vector divided once
+    per problem (``ControlledProblem.true_vectors``)."""
+    memo = problem.true_vectors.setdefault(s, {})
+
+    def true(v):
+        x = memo.get(v)
+        if x is None:
+            x = memo[v] = _true(v, s)
+        return x
+
+    return {key: tuple(map(true, vals)) for key, vals in level.items()}
 
 
 def _terminal_level(problem: ControlledProblem) -> LevelSets:
@@ -355,24 +389,31 @@ def _selections(
 
 
 def _profile_level(
-    problem: ControlledProblem, t: int, below: Optional[ProfileLevel]
-) -> ProfileLevel:
+    problem: ControlledProblem, t: int, below: Optional[ProfileLevel | LevelSets]
+) -> ProfileLevel | LevelSets:
     """The forward level at time t over S_t, from the level below (None at
-    the horizon); each strategy count is checked against the budget before
-    its profiles are built."""
+    the horizon), once every strategy count at t is within the budget.  On
+    a collapsed problem (``ControlledProblem.collapsed``) it is the value
+    level, by the one-step map; otherwise the per-model profile level."""
     if below is None:
+        terminal = _terminal_level(problem)
+        if problem.collapsed:
+            return terminal
         return {
             key: (losses * len(problem.family.models),)
-            for key, losses in _terminal_level(problem).items()
+            for key, losses in terminal.items()
         }
-    weights = problem.family.weights
-    out: ProfileLevel = {}
     for node, state in problem.reachable[t]:
         count = problem.strategy_counts[(node, state)]
         if count > problem.budget:
             raise _over_budget(
                 "strategy enumeration", problem, count, t, node, state
             )
+    if problem.collapsed:
+        return _one_step_sets(problem, t, below)
+    weights = problem.family.weights
+    out: ProfileLevel = {}
+    for node, state in problem.reachable[t]:
         rows = weights[node]
         out[(node, state)] = tuple(dict.fromkeys(
             tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
@@ -384,18 +425,19 @@ def _profile_level(
 def value_sets(problem: ControlledProblem, t: int) -> LevelSets:
     """Forward value sets at time t, per reachable (node, state): one
     worst-case expected loss per strategy from that point, taken as the
-    supremum of each distinct profile."""
+    supremum of each distinct profile, or on a collapsed problem read off
+    its level."""
     levels = problem.profile_levels
     for s in range(min(levels, default=problem.tree.horizon + 1) - 1, t - 1, -1):
         levels[s] = _profile_level(problem, s, levels.get(s + 1))
-    level = problem.scaled_levels["v", t] = {
+    level = problem.scaled_levels["v", t] = levels[t] if problem.collapsed else {
         (node, state): tuple(dict.fromkeys(
             _sup_or_raise(problem, p, f"t={t}, node={node!r}, strategy")
             for p in profs
         ))
         for (node, state), profs in levels[t].items()
     }
-    return _level_true(level, problem.scales[t])
+    return _level_true(problem, level, problem.scales[t])
 
 
 def _one_step_sets(
@@ -419,13 +461,18 @@ def _one_step_sets(
 
 
 def backward_value(problem: ControlledProblem) -> dict[int, LevelSets]:
-    """Backward recursion from the horizon down to time 0."""
+    """Backward recursion from the horizon down to time 0.  On a collapsed
+    problem whose forward levels are all built, those are the backward
+    levels: both are the one-step map iterated from the terminal level."""
     horizon = problem.tree.horizon
-    out: dict[int, LevelSets] = {horizon: _terminal_level(problem)}
-    for t in range(horizon - 1, -1, -1):
-        out[t] = _one_step_sets(problem, t, out[t + 1])
+    if problem.collapsed and 0 in problem.profile_levels:
+        out = problem.profile_levels
+    else:
+        out = {horizon: _terminal_level(problem)}
+        for t in range(horizon - 1, -1, -1):
+            out[t] = _one_step_sets(problem, t, out[t + 1])
     problem.scaled_levels.update((("b", t), lvl) for t, lvl in out.items())
-    return {t: _level_true(lvl, problem.scales[t]) for t, lvl in out.items()}
+    return {t: _level_true(problem, lvl, problem.scales[t]) for t, lvl in out.items()}
 
 
 def one_step_R(
@@ -436,7 +483,7 @@ def one_step_R(
     level = problem.scaled_levels["r", t] = _one_step_sets(
         problem, t, _level_at_scale(v_next, scales[t + 1])
     )
-    return _level_true(level, scales[t])
+    return _level_true(problem, level, scales[t])
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +599,9 @@ _RELATIONS = (
 
 def check_bellman(problem: ControlledProblem) -> BellmanReport:
     """Build V, B and R once each, in that order, and evaluate all Bellman
-    inclusions and the set equality per time.  R at t is B at t wherever
-    V and B, the inputs of their one-step maps, agree at t+1.  Both are
+    inclusions and the set equality per time.  On a collapsed problem B
+    takes V's levels.  R at t is B at t wherever V and B, the inputs of
+    their one-step maps, agree at t+1.  Both are
     decided on the levels over S_t that the three builders leave on the
     problem (``ControlledProblem.scaled_levels``)."""
     tree = problem.tree

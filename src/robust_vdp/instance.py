@@ -68,7 +68,11 @@ def _frac_at(value, path: str) -> Fraction:
 def _vec_at(value, path: str, dim: Optional[int] = None) -> Vec:
     if not isinstance(value, list):
         raise InstanceError(path, "expected a list of rationals")
-    v = tuple(_frac_at(x, f"{path}/{i}") for i, x in enumerate(value))
+    try:
+        v = tuple(map(frac, value))
+    except (ValueError, TypeError):
+        # name the first coordinate that fails
+        v = tuple(_frac_at(x, f"{path}/{i}") for i, x in enumerate(value))
     if dim is not None and len(v) != dim:
         raise InstanceError(path, f"expected dimension {dim}, got {len(v)}")
     return v
@@ -94,7 +98,7 @@ def _probability_row(value, tree: ScenarioTree, node: str, path: str) -> Vec:
     p = _vec_at(value, path, len(tree.children[node]))
     if not sums_to_one(p):
         raise InstanceError(path, f"sum {sum(p)} != 1")
-    if any(x < 0 for x in p):
+    if any(x.numerator < 0 for x in p):
         raise InstanceError(path, "negative probability")
     return p
 

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .cones import Cone
+from .errors import DimensionMismatchError
 from .trees import AdaptedVector, Model, ModelFamily, ScenarioTree
 
 #: per non-terminal node, the candidate transition vectors
@@ -45,11 +45,8 @@ def extract_marginals(family: ModelFamily) -> dict[str, list[tuple[Fraction, ...
 
 def is_m_rectangular(family: ModelFamily) -> bool:
     """Structural test: the family equals the full product of its own
-    node-wise marginal sets."""
-    assignments = {m.assignment(family.tree) for m in family.models}
-    # every model draws its rows from the family's distinct node rows, so
-    # the family is a subset of their product; equality is a counting question
-    return len(assignments) == prod(len(rows) for rows in family.rows.values())
+    node-wise marginal sets (``ModelFamily.is_product``)."""
+    return family.is_product
 
 
 @dataclass(frozen=True)
@@ -123,6 +120,21 @@ def random_terminal_vectors(
     return out
 
 
+def _checked_vectors(
+    cone: Cone, tree: ScenarioTree, test_vectors: Iterable[AdaptedVector]
+) -> list[AdaptedVector]:
+    """The test vectors, each on exactly the time-H nodes and of the cone's
+    dimension, checked in order before any is walked."""
+    vectors = list(test_vectors)
+    for idx, x in enumerate(vectors):
+        x.check_level(tree)
+        if x.dim != cone.dim:
+            raise DimensionMismatchError(
+                f"test vector {idx} has dimension {x.dim}, the cone {cone.dim}"
+            )
+    return vectors
+
+
 def check_preorder_rectangularity(
     cone: Cone,
     tree: ScenarioTree,
@@ -146,11 +158,10 @@ def check_preorder_rectangularity(
     def precedes(x, y) -> bool:  # x <= y, decided on the cone's integer images
         return next(cone.uncovered((x,), (y,), below=True), None) is None
 
-    vectors = list(test_vectors)
+    vectors = _checked_vectors(cone, tree, test_vectors)
     records = []
     # a horizon-1 tree has no (vector, t) pair to check
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
-        x.check_level(tree)
         direct, nested = terminal_walk(cone, tree, family, x.values)
         for t in range(tree.horizon - 1):
             if nested[t] is None or direct[t] is None:

@@ -93,7 +93,7 @@ def _check_row(model_id: str, tree: ScenarioTree, n: str, p) -> None:
         raise ValueError(f"model {model_id}: no transition at {n!r}")
     if len(p) != len(tree.children[n]):
         raise ValueError(f"model {model_id}: transition at {n!r} has wrong arity")
-    if any(x < 0 for x in p):
+    if any(x.numerator < 0 for x in p):
         raise ValueError(f"model {model_id}: negative probability at {n!r}")
     if not sums_to_one(p):
         raise ValueError(
@@ -141,36 +141,53 @@ class ModelFamily:
                     checked[n, id(p)] = p
 
     @cached_property
-    def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
-        """Per non-terminal node, the distinct transition rows of the
-        family, in order of first occurrence."""
-        return {
-            n: tuple(dict.fromkeys(tuple(m.transition[n]) for m in self.models))
-            for n in self.tree.inner_nodes
-        }
-
-    @cached_property
     def denominators(self) -> tuple[int, ...]:
-        """Per time 0..T-1, D_t: the lcm of the denominators of the rows at
-        that level's nodes."""
+        """Per time 0..T-1, D_t: the lcm of the denominators of the models'
+        rows at that level's nodes."""
         return tuple(
-            lcm(*(p.denominator for n in level for row in self.rows[n] for p in row))
+            lcm(*(p.denominator for n in level for m in self.models
+                  for p in m.transition[n]))
             for level in self.tree.levels[:-1]
         )
 
     @cached_property
     def weights(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """Per non-terminal node, each model's row as integer weights
-        p * D_t, in model order; each distinct row is scaled once."""
+        p * D_t, in model order.  Two rows at a node are equal exactly when
+        their weights are, so the family's rows are told apart on these."""
+        return {
+            n: tuple(
+                tuple(p.numerator * (d // p.denominator) for p in m.transition[n])
+                for m in self.models
+            )
+            for level, d in zip(self.tree.levels, self.denominators)
+            for n in level
+        }
+
+    @cached_property
+    def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
+        """Per non-terminal node, the distinct transition rows of the
+        family, in order of first occurrence."""
         out = {}
-        for level, d in zip(self.tree.levels, self.denominators):
-            for n in level:
-                scaled = {
-                    row: tuple(p.numerator * (d // p.denominator) for p in row)
-                    for row in self.rows[n]
-                }
-                out[n] = tuple(scaled[tuple(m.transition[n])] for m in self.models)
+        for n, weights in self.weights.items():
+            first: dict[tuple[int, ...], Model] = {}
+            for m, w in zip(self.models, weights):
+                first.setdefault(w, m)
+            out[n] = tuple(tuple(m.transition[n]) for m in first.values())
         return out
+
+    @cached_property
+    def is_product(self) -> bool:
+        """Whether the family is the full product of its node rows.  Every
+        model draws its rows from them, so the family lies in their product,
+        and equality is a count: the models' distinct tuples of row indices,
+        one index per node, against the product of the per-node counts."""
+        indices, size = [], 1
+        for weights in self.weights.values():
+            found: dict[tuple[int, ...], int] = {}
+            indices.append([found.setdefault(w, len(found)) for w in weights])
+            size *= len(found)
+        return len(set(zip(*indices))) == size
 
     @cached_property
     def classes(self) -> dict[str, tuple[tuple, tuple[int, ...]]]:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from robust_vdp import (
@@ -23,6 +23,7 @@ from robust_vdp import (
     Cone,
     ControlledProblem,
     DeskScaleExceededError,
+    DimensionMismatchError,
     DynamicsSpec,
     Model,
     ModelFamily,
@@ -32,7 +33,6 @@ from robust_vdp import (
     SupResult,
     UnsupportedConeError,
     cond_expect,
-    is_m_rectangular,
     minimal_elements,
     one_step_R,
     vsup,
@@ -44,6 +44,7 @@ from robust_vdp.engine import (
     UpperImageRow,
     _selections,
     _sup_or_raise,
+    _terminal_level,
 )
 from robust_vdp.exactlp import (
     ONE,
@@ -59,7 +60,8 @@ from robust_vdp.exactlp import (
     vadd,
     vec,
 )
-from robust_vdp.rectangularity import RectCheckRecord
+from robust_vdp.rectangularity import RectCheckRecord, rectangularize
+from robust_vdp.trees import expect
 
 
 def accumulating_expect(probs, points) -> tuple:
@@ -291,13 +293,110 @@ def per_model_backward_value(problem: ControlledProblem) -> dict:
     return out
 
 
-def fraction_bellman_report(problem: ControlledProblem) -> BellmanReport:
-    """``check_bellman`` from the oracles: V by strategy enumeration, B and
-    R by the per-model ``Fraction`` recursion, and every relation by one
-    ``leq`` per compared pair on the true-scale sets."""
+# ---------------------------------------------------------------------------
+# the family's row caches and product test on Fraction rows
+
+
+def fraction_rows(family: ModelFamily) -> dict:
+    """Per non-terminal node, the distinct transition rows of the family in
+    order of first occurrence, told apart by hashing the ``Fraction`` rows."""
+    return {
+        n: tuple(dict.fromkeys(tuple(m.transition[n]) for m in family.models))
+        for n in family.tree.inner_nodes
+    }
+
+
+def fraction_denominators(family: ModelFamily) -> tuple:
+    """Per time, the lcm of the denominators of the distinct rows there."""
+    rows = fraction_rows(family)
+    return tuple(
+        lcm(*(p.denominator for n in level for row in rows[n] for p in row))
+        for level in family.tree.levels[:-1]
+    )
+
+
+def fraction_weights(family: ModelFamily) -> dict:
+    """Per non-terminal node, each model's row as integer weights p * D_t,
+    in model order, each distinct ``Fraction`` row scaled once."""
+    rows = fraction_rows(family)
+    out = {}
+    for level, d in zip(family.tree.levels, fraction_denominators(family)):
+        for n in level:
+            scaled = {
+                row: tuple(p.numerator * (d // p.denominator) for p in row)
+                for row in rows[n]
+            }
+            out[n] = tuple(scaled[tuple(m.transition[n])] for m in family.models)
+    return out
+
+
+def assignment_is_m_rectangular(family: ModelFamily) -> bool:
+    """Whether the set of the models' whole assignments has as many members
+    as the product of the nodes' distinct ``Fraction`` rows."""
+    assignments = {m.assignment(family.tree) for m in family.models}
+    return len(assignments) == prod(len(r) for r in fraction_rows(family).values())
+
+
+# ---------------------------------------------------------------------------
+# forward V with one expected terminal loss per model
+
+
+def per_model_profile_level(problem: ControlledProblem, t: int, below) -> dict:
+    """The forward level at time t over S_t on any family: per reachable
+    (node, state), the distinct profiles of its strategies, each one
+    expected terminal loss per model (``fraction_weights``), from the level
+    below (None at the horizon); each strategy count is checked against the
+    budget before its profiles are built."""
+    if below is None:
+        return {
+            key: (losses * len(problem.family.models),)
+            for key, losses in _terminal_level(problem).items()
+        }
+    weights = fraction_weights(problem.family)
+    out = {}
+    for node, state in problem.reachable[t]:
+        count = problem.strategy_counts[(node, state)]
+        if count > problem.budget:
+            raise DeskScaleExceededError(
+                f"strategy enumeration exceeds the budget of {problem.budget} "
+                f"({count} at t={t}, node={node!r}, state={state!r})"
+            )
+        rows = weights[node]
+        out[(node, state)] = tuple(dict.fromkeys(
+            tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
+            for combo in _selections(problem, t, node, state, below)
+        ))
+    return out
+
+
+def per_model_value_sets(problem: ControlledProblem, t: int) -> dict:
+    """Forward value sets at t by ``per_model_profile_level`` from the
+    horizon down: the supremum of each distinct profile, deduped in profile
+    order, in true values."""
+    level = None
+    for s in range(problem.tree.horizon, t - 1, -1):
+        level = per_model_profile_level(problem, s, level)
+    scale = problem.scales[t]
+    return {
+        (node, state): tuple(dict.fromkeys(
+            tuple(Fraction(x, scale) for x in _sup_or_raise(
+                problem, p, f"t={t}, node={node!r}, strategy"))
+            for p in profs
+        ))
+        for (node, state), profs in level.items()
+    }
+
+
+def fraction_bellman_report(
+    problem: ControlledProblem, forward=strategy_value_sets
+) -> BellmanReport:
+    """``check_bellman`` from the oracles: V by ``forward`` (strategy
+    enumeration unless given), B and R by the per-model ``Fraction``
+    recursion, every relation by one ``leq`` per compared pair on the
+    true-scale sets, and rectangularity by the models' assignments."""
     cone = problem.cone
     horizon = problem.tree.horizon
-    v = {t: strategy_value_sets(problem, t) for t in range(horizon + 1)}
+    v = {t: forward(problem, t) for t in range(horizon + 1)}
     b = per_model_backward_value(problem)
     r = {t: per_model_one_step_sets(problem, t, v[t + 1]) for t in range(horizon)}
     rows = []
@@ -329,7 +428,10 @@ def fraction_bellman_report(problem: ControlledProblem) -> BellmanReport:
                 f"{name} fails at t={t}, (node, state)={key}" for name, key in failed
             ),
         ))
-    rect = is_m_rectangular(problem.family) if cone.kind == COMPONENTWISE else None
+    rect = (
+        assignment_is_m_rectangular(problem.family)
+        if cone.kind == COMPONENTWISE else None
+    )
     return BellmanReport(
         rows=tuple(rows), m_rectangular=rect, pointed=cone.is_pointed(), v=v, b=b, r=r
     )
@@ -672,7 +774,7 @@ def pairwise_upper_image_report(problem: ControlledProblem) -> UpperImageReport:
     module, so a test can patch either."""
     engine._require_componentwise(problem)
     tree = problem.tree
-    rect = is_m_rectangular(problem.family)
+    rect = assignment_is_m_rectangular(problem.family)
     gens = {t: engine.upper_image(problem, t) for t in range(tree.horizon + 1)}
     rows = []
     for t in range(tree.horizon):
@@ -731,10 +833,23 @@ def nested_direct_values(cone, tree, family, x, t):
     return nested.value, direct.value
 
 
+def _entry_checked(cone, tree, test_vectors) -> list:
+    """The test vectors, refused in order at the first one that is not on
+    exactly the time-H nodes or not of the cone's dimension."""
+    vectors = list(test_vectors)
+    for idx, x in enumerate(vectors):
+        x.check_level(tree)
+        if x.dim != cone.dim:
+            raise DimensionMismatchError(
+                f"test vector {idx} has dimension {x.dim}, the cone {cone.dim}"
+            )
+    return vectors
+
+
 def nested_direct_rect_check(cone, tree, family, test_vectors, seed=None) -> RectReport:
     """``check_preorder_rectangularity`` by definition: per (vector, t), the
     nested and direct worst cases of ``nested_direct_values``."""
-    vectors = list(test_vectors)
+    vectors = _entry_checked(cone, tree, test_vectors)
     records = []
     for idx, x in enumerate(vectors):
         for t in range(tree.horizon - 1):
@@ -761,15 +876,10 @@ def per_vector_rect_check(cone, tree, family, test_vectors, seed=None) -> RectRe
     """``check_preorder_rectangularity`` on the engine's set-valued levels:
     per vector X, the forward sets V and the one-step sets R of the problem
     whose only strategy is X, in true values, compared node by node with
-    ``Cone.leq``.  A problem whose loss is not of the cone's dimension is
-    refused where it is built, so vectors of another dimension are checked
-    by definition (``nested_direct_rect_check``)."""
-    vectors = list(test_vectors)
-    if any(x.dim != cone.dim for x in vectors):
-        return nested_direct_rect_check(cone, tree, family, vectors, seed)
+    ``Cone.leq``."""
+    vectors = _entry_checked(cone, tree, test_vectors)
     records = []
     for idx, x in enumerate(vectors if tree.horizon > 1 else ()):
-        x.check_level(tree)
         problem = ControlledProblem(
             tree, family, cone, engine.TABULATED, strategies={"X": x.values}
         )
@@ -876,6 +986,28 @@ def random_family(
     return ModelFamily(tree=tree, models=tuple(models))
 
 
+def random_marginal_family(
+    rng: random.Random, tree: ScenarioTree, max_models: int = 16
+) -> ModelFamily:
+    """A product family by ``rectangularize``: one to three distinct
+    candidate rows per non-terminal node over denominators 2 to 5, so that
+    many rows have a zero entry, and at some nodes the first candidate
+    listed twice; the nodes, in random order, keep only as many candidates
+    as the max_models bound allows."""
+    marginals = {}
+    models = 1
+    for n in rng.sample(tree.inner_nodes, len(tree.inner_nodes)):
+        k = len(tree.children[n])
+        rows = list(dict.fromkeys(_random_prob_vector(rng, k, rng.randint(2, 5))
+                                  for _ in range(rng.randint(1, 3))))
+        if rng.random() < 0.2:
+            rows.append(rows[0])
+        del rows[max(1, max_models // models):]
+        models *= len(rows)
+        marginals[n] = rows
+    return rectangularize(tree, marginals)
+
+
 def random_rational(
     rng: random.Random, denominators: Sequence[int] = (1, 2, 4)
 ) -> Fraction:
@@ -889,10 +1021,12 @@ def random_tabulated_problem(
     max_models: int = 4,
     level_denominators: Optional[Sequence[int]] = None,
     loss_denominators: Sequence[int] = (1, 2, 4),
+    family: Optional[ModelFamily] = None,
 ) -> ControlledProblem:
     """Random componentwise-order problem in tabulated mode: a few named
-    strategies, each with a random loss on every leaf."""
-    tree = random_tree(rng)
+    strategies, each with a random loss on every leaf; on the given family
+    and its tree, else on random ones."""
+    tree = family.tree if family is not None else random_tree(rng)
     leaves = tree.nodes_at(tree.horizon)
     strategies = {
         f"x{k}": {
@@ -901,11 +1035,13 @@ def random_tabulated_problem(
         }
         for k in range(rng.randint(1, max_strategies))
     }
+    if family is None:
+        family = random_family(
+            rng, tree, max_models=max_models, level_denominators=level_denominators
+        )
     return ControlledProblem(
         tree=tree,
-        family=random_family(
-            rng, tree, max_models=max_models, level_denominators=level_denominators
-        ),
+        family=family,
         cone=Cone.componentwise(dim),
         mode="tabulated",
         strategies=strategies,
@@ -921,17 +1057,21 @@ def random_dynamics_problem(
     n_states: int = 2,
     level_denominators: Optional[Sequence[int]] = None,
     loss_denominators: Sequence[int] = (1, 2, 4),
+    family: Optional[ModelFamily] = None,
 ) -> ControlledProblem:
-    """Random componentwise-order problem in dynamics mode.
+    """Random componentwise-order problem in dynamics mode, on the given
+    family and its tree, else on random ones.
 
     State transitions are random over a small state alphabet; every state
     admits every control at every time, so all strategies are valid.
     """
-    tree = random_tree(rng)
-    family = random_family(
-        rng, tree, max_models=max_models, rectangular=rectangular,
-        level_denominators=level_denominators,
-    )
+    if family is None:
+        tree = random_tree(rng)
+        family = random_family(
+            rng, tree, max_models=max_models, rectangular=rectangular,
+            level_denominators=level_denominators,
+        )
+    tree = family.tree
     states = [f"s{i}" for i in range(n_states)]
     controls = [f"a{i}" for i in range(rng.randint(1, max_controls))]
     admissible = {

@@ -45,8 +45,11 @@ from .oracles import (
     pairwise_upper_image_report,
     per_model_backward_value,
     per_model_one_step_sets,
+    per_model_value_sets,
     random_dynamics_problem,
+    random_marginal_family,
     random_tabulated_problem,
+    random_tree,
     stepwise_pruned_backward,
     strategy_value_sets,
 )
@@ -910,8 +913,10 @@ def test_check_bellman_takes_componentwise_suprema_on_the_kernel(source, monkeyp
     report = check_bellman(problem)
     assert problem.cone.kind == "componentwise"
     # as many suprema as ``vsup`` calls when each engine supremum went
-    # through ``vsup``: 20 on each bundled instance, 71 on the seeded one
-    sups = 71 if source == 19 else 20
+    # through ``vsup``: on the two bundled product families one per
+    # selection of forward V, whose levels B and R take over (6); 20 on the
+    # independent family and 71 on the seeded one
+    sups = {19: 71, "binomial_tables_independent.json": 20}.get(source, 6)
     rebuilt = [t for t in range(problem.tree.horizon)
                if report.v[t + 1] != report.b[t + 1]]
     assert calls == Counter({
@@ -922,3 +927,106 @@ def test_check_bellman_takes_componentwise_suprema_on_the_kernel(source, monkeyp
     })
     if source == 19:
         assert rebuilt == [0]
+
+
+@pytest.mark.parametrize("source", ["binomial_marginals.json", 17])
+def test_product_family_levels_are_built_once(source, monkeypatch):
+    # on a product family under the component-wise order every level is
+    # built once, by forward V: B takes V's levels and builds none, R is B,
+    # and every expectation is one of the one-step map's
+    if isinstance(source, int):  # horizon 4, 16 models, 12 distinct
+        rng = random.Random(source)
+        family = random_marginal_family(rng, random_tree(rng, 4, 2, 12))
+        problem = random_dynamics_problem(rng, max_controls=2, family=family)
+    else:
+        problem = parse_document(read_text(source)).problem
+    calls = Counter()
+    stack = []
+
+    def tracked(name, fn):
+        def wrapper(*args):
+            calls[f"{name} in {stack[-1]}" if stack else name] += 1
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    for name in ("backward_value", "one_step_R", "_profile_level",
+                 "_one_step_sets", "_terminal_level", "expect"):
+        monkeypatch.setattr(engine, name, tracked(name, getattr(engine, name)))
+    report = check_bellman(problem)
+    horizon = problem.tree.horizon
+    assert problem.collapsed and (source == 17) == (horizon == 4)
+    expects = calls.pop("expect in _one_step_sets")
+    assert expects > 0 and calls == Counter({
+        "_profile_level": horizon + 1,
+        "_terminal_level in _profile_level": 1,
+        "_one_step_sets in _profile_level": horizon,
+        "backward_value": 1,
+    })
+    scaled = problem.scaled_levels
+    for t in range(horizon + 1):
+        assert scaled["b", t] is scaled["v", t]
+    assert all(report.r[t] is report.b[t] for t in range(horizon))
+    assert report.equality_ok
+
+
+def _product_problems(rng, count):
+    """Dynamics and tabulated problems in turn on seeded product families
+    of horizon 1 to 4 (``random_marginal_family``), under various budgets."""
+    problems = []
+    for i in range(count):
+        family = random_marginal_family(rng, random_tree(rng, 4, 2, 12))
+        problem = (
+            random_tabulated_problem(rng, family=family) if i % 2
+            else random_dynamics_problem(rng, max_controls=2, family=family)
+        )
+        problems.append(dataclasses.replace(problem, budget=rng.choice((30, 3000))))
+    return problems
+
+
+def test_product_families_equal_per_model_oracles():
+    # the collapsed recursion against one expected loss per model: V, B
+    # (built alone and reused from V), the Bellman report and the upper
+    # images, values and raised errors alike
+    rng = random.Random(157)
+    seen = Counter()
+
+    def compared(got, expected):
+        assert got == expected
+        seen[got[0] if isinstance(got, tuple) else "decided"] += 1
+        return got
+
+    for problem in _product_problems(rng, 100):
+        assert problem.collapsed
+        horizon = problem.tree.horizon
+        compared(_outcome(backward_value, dataclasses.replace(problem)),
+                 _outcome(per_model_backward_value, problem))
+        for t in range(horizon + 1):
+            compared(_outcome(value_sets, problem, t),
+                     _outcome(per_model_value_sets, problem, t))
+        compared(_outcome(backward_value, problem),
+                 _outcome(per_model_backward_value, problem))
+        fresh = dataclasses.replace(problem)
+        compared(_outcome(check_bellman, fresh),
+                 _outcome(fraction_bellman_report, problem, per_model_value_sets))
+        for t in range(horizon + 1):
+            expected = _outcome(per_model_value_sets, problem, t)
+            if isinstance(expected, dict):
+                expected = {key: tuple(pairwise_minimal_elements(vals, problem.cone))
+                            for key, vals in expected.items()}
+            compared(_outcome(upper_image, fresh, t), expected)
+        family = problem.family
+        seen["horizon 4"] += horizon == 4
+        seen["tabulated"] += problem.mode == "tabulated"
+        seen["zero entry"] += any(
+            0 in row for rows in family.rows.values() for row in rows
+        )
+        seen["listed twice"] += len({m.assignment(problem.tree)
+                                     for m in family.models}) < len(family.models)
+    assert seen["decided"] > 900 and seen["DeskScaleExceededError"] > 20
+    assert seen["horizon 4"] > 20 and seen["tabulated"] == 50
+    assert seen["zero entry"] > 50 and seen["listed twice"] > 50

@@ -167,14 +167,17 @@ def test_level_walk_equals_nested_direct_definition():
         report = _rect_outcome(check_preorder_rectangularity, *args)
         assert report == _rect_outcome(nested_direct_rect_check, *args)
         assert report == _rect_outcome(per_vector_rect_check, *args)
-        if not isinstance(report, RectReport):
-            seen[report[0]] += 1
+        if dim != cone.dim:
+            # refused at entry on every cone and every horizon
+            assert report == ("DimensionMismatchError",
+                              f"test vector 0 has dimension {dim}, the cone {cone.dim}")
+            seen["wrong dimension"] += 1
             continue
         seen["sup failure"] += any(r.sup_failure for r in report.records)
         seen["no records"] += not report.records
         seen["counterexample"] += report.rectangular_on_sample is False
     assert seen["sup failure"] and seen["no records"] and seen["counterexample"]
-    assert seen["DimensionMismatchError"] and seen["ValueError"]
+    assert seen["wrong dimension"] == 6
 
 
 def test_rect_check_is_one_walk_per_vector(full_family, monkeypatch):

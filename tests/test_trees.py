@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,17 @@ from robust_vdp import (
 from robust_vdp.data import read_text
 from robust_vdp.trees import expect, sums_to_one
 
-from .oracles import accumulating_expect, leq_t, random_family, random_tree
+from .oracles import (
+    accumulating_expect,
+    assignment_is_m_rectangular,
+    fraction_denominators,
+    fraction_rows,
+    fraction_weights,
+    leq_t,
+    random_family,
+    random_marginal_family,
+    random_tree,
+)
 
 F = Fraction
 
@@ -207,6 +218,36 @@ def test_root_classes_are_the_distinct_assignments():
         # one class per assignment, and one assignment per class
         assert len(keys) == len(set(assignments)) == len(set(zip(assignments, index)))
         assert sorted(set(index)) == list(range(len(keys)))
+
+
+def test_family_caches_equal_fraction_oracles():
+    # rows, denominators, weights and the product test on integer rows
+    # against the same on hashed Fraction rows: on product families, each
+    # also without one of its models and with one listed again, and on
+    # explicit families whose rows over 2 or 3 repeat across models
+    rng = random.Random(163)
+    families = list(_families())
+    for _ in range(30):
+        tree = random_tree(rng, 4, 2, 12)
+        family = random_marginal_family(rng, tree)
+        models = list(family.models)
+        again = Model(id="again", transition=rng.choice(models).transition)
+        del models[rng.randrange(len(models))]
+        families += [
+            family,
+            ModelFamily(tree, tuple(models) or family.models),
+            ModelFamily(tree, family.models + (again,)),
+            random_family(rng, tree, max_models=6,
+                          level_denominators=[rng.choice((2, 3))] * tree.horizon),
+        ]
+    seen = Counter()
+    for family in families:
+        assert family.rows == fraction_rows(family)
+        assert family.denominators == fraction_denominators(family)
+        assert family.weights == fraction_weights(family)
+        assert family.is_product == assignment_is_m_rectangular(family)
+        seen[family.is_product] += 1
+    assert seen[True] > 100 and seen[False] > 20
 
 
 def test_models_of_one_class_have_one_expectation():
