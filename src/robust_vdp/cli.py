@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", required=True, help="instance JSON file")
         if budget:
             p.add_argument("--budget", type=int, default=None,
-                           help="strategy and selector budget")
+                           help="selector budget per (node, state)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 

@@ -381,10 +381,7 @@ def _selections(
         child_sets = [next_sets[k] for k in keys]
         total += prod(len(s) for s in child_sets)
         if total > problem.budget:
-            raise _over_budget(
-                f"selector product at t={t}, node={node!r}", problem,
-                total, t, node, state,
-            )
+            raise _over_budget("selector product", problem, total, t, node, state)
         yield from product(*child_sets)
 
 
@@ -392,9 +389,11 @@ def _profile_level(
     problem: ControlledProblem, t: int, below: Optional[ProfileLevel | LevelSets]
 ) -> ProfileLevel | LevelSets:
     """The forward level at time t over S_t, from the level below (None at
-    the horizon), once every strategy count at t is within the budget.  On
-    a collapsed problem (``ControlledProblem.collapsed``) it is the value
-    level, by the one-step map; otherwise the per-model profile level."""
+    the horizon).  On a collapsed problem (``ControlledProblem.collapsed``)
+    it is the value level, by the one-step map; otherwise the per-model
+    profile level.  Only its selections count against the budget: a key's
+    distinct profiles never outnumber them, however many strategies share
+    a profile."""
     if below is None:
         terminal = _terminal_level(problem)
         if problem.collapsed:
@@ -403,12 +402,6 @@ def _profile_level(
             key: (losses * len(problem.family.models),)
             for key, losses in terminal.items()
         }
-    for node, state in problem.reachable[t]:
-        count = problem.strategy_counts[(node, state)]
-        if count > problem.budget:
-            raise _over_budget(
-                "strategy enumeration", problem, count, t, node, state
-            )
     if problem.collapsed:
         return _one_step_sets(problem, t, below)
     weights = problem.family.weights

@@ -101,6 +101,12 @@ def _check_row(model_id: str, tree: ScenarioTree, n: str, p) -> None:
         )
 
 
+def _weights(row: Sequence[Fraction], d: int) -> tuple[int, ...]:
+    """The probabilities of a row as integer weights p * d; d is a multiple
+    of every denominator in the row."""
+    return tuple(p.numerator * (d // p.denominator) for p in row)
+
+
 @dataclass(frozen=True)
 class Model:
     id: str
@@ -141,28 +147,49 @@ class ModelFamily:
                     checked[n, id(p)] = p
 
     @cached_property
+    def _row_objects(self) -> dict[str, tuple[tuple, tuple[int, ...]]]:
+        """Per non-terminal node, the distinct row objects of the models
+        (a marginal candidate row of a parsed document is one object shared
+        by many models), in order of first occurrence, and each model's
+        index into them, in model order.  The rows are kept, so no id is
+        reused while they are told apart by it."""
+        out = {}
+        for n in self.tree.inner_nodes:
+            found: dict[int, int] = {}
+            rows, index = [], []
+            for m in self.models:
+                p = m.transition[n]
+                k = found.get(id(p))
+                if k is None:
+                    k = found[id(p)] = len(rows)
+                    rows.append(p)
+                index.append(k)
+            out[n] = (tuple(rows), tuple(index))
+        return out
+
+    @cached_property
     def denominators(self) -> tuple[int, ...]:
         """Per time 0..T-1, D_t: the lcm of the denominators of the models'
-        rows at that level's nodes."""
+        rows at that level's nodes, each row object read once."""
         return tuple(
-            lcm(*(p.denominator for n in level for m in self.models
-                  for p in m.transition[n]))
+            lcm(*(p.denominator for n in level
+                  for row in self._row_objects[n][0] for p in row))
             for level in self.tree.levels[:-1]
         )
 
     @cached_property
     def weights(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """Per non-terminal node, each model's row as integer weights
-        p * D_t, in model order.  Two rows at a node are equal exactly when
-        their weights are, so the family's rows are told apart on these."""
-        return {
-            n: tuple(
-                tuple(p.numerator * (d // p.denominator) for p in m.transition[n])
-                for m in self.models
-            )
-            for level, d in zip(self.tree.levels, self.denominators)
-            for n in level
-        }
+        p * D_t, in model order, each row object scaled once.  Two rows at a
+        node are equal exactly when their weights are, so the family's rows
+        are told apart on these."""
+        out = {}
+        for level, d in zip(self.tree.levels, self.denominators):
+            for n in level:
+                rows, index = self._row_objects[n]
+                scaled = [_weights(row, d) for row in rows]
+                out[n] = tuple(scaled[k] for k in index)
+        return out
 
     @cached_property
     def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:

@@ -6,6 +6,7 @@ brute-force enumeration, kept separate from the library's own algorithms.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -190,17 +191,18 @@ def naive_strategy_count(
 
 
 def naive_strategies(
-    problem: ControlledProblem, t: int = 0, node=None, state=None
+    problem: ControlledProblem, t: int = 0, node=None, state=None, budget=None
 ) -> list[dict]:
     """Every strategy from (t, node, state) as its control per (node, state),
-    depth first, control by control; a count over the budget raises the
-    engine's budget error."""
+    depth first, control by control; a count over the budget (the
+    problem's unless given) raises ``enumerate_strategies``'s error."""
     node = node if node is not None else problem.tree.root
     state = state if state is not None else problem.initial_state
+    budget = problem.budget if budget is None else budget
     count = naive_strategy_count(problem, t, node, state)
-    if count > problem.budget:
+    if count > budget:
         raise DeskScaleExceededError(
-            f"strategy enumeration exceeds the budget of {problem.budget} "
+            f"strategy enumeration exceeds the budget of {budget} "
             f"({count} at t={t}, node={node!r}, state={state!r})"
         )
 
@@ -223,11 +225,50 @@ def naive_strategies(
     return recurse(t, node, state)
 
 
+#: the budget under which the oracles enumerate what the engine only
+#: selects from; an oracle that needs more raises instead of running long
+RAISED_BUDGET = 10**5
+
+
+def collapses(problem: ControlledProblem) -> bool:
+    """Whether the engine's forward levels hold values rather than per-model
+    profiles: on the component-wise order over a family that is the product
+    of its rows (by the models' assignments)."""
+    return (problem.cone.kind == COMPONENTWISE
+            and assignment_is_m_rectangular(problem.family))
+
+
+def forward_selection_check(problem: ControlledProblem, t: int, sizes) -> None:
+    """The engine's budget on forward V down to time t: level by level from
+    the horizon, per reachable (node, state) in order, the running total
+    over its controls of the products of the children's set sizes
+    (``sizes[s][key]``); the selector error at the first total over the
+    budget.  Strategy counts are not checked."""
+    reachable = naive_reachable(problem)
+    for s in range(problem.tree.horizon - 1, t - 1, -1):
+        for node, state in reachable[s]:
+            total = 0
+            for a in problem.controls_at(s, state):
+                total += prod(
+                    sizes[s + 1][(c, problem.next_state(s, state, a, c))]
+                    for c in problem.tree.children[node]
+                )
+                if total > problem.budget:
+                    raise DeskScaleExceededError(
+                        f"selector product exceeds the budget of {problem.budget} "
+                        f"({total} at t={s}, node={node!r}, state={state!r})"
+                    )
+
+
 def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
     """Forward value sets by strategy enumeration: per reachable
     (node, state) at t, every strategy's terminal table, its expectation
     over the subtree under each model, and the supremum of those, deduped
-    in strategy order."""
+    in strategy order.  Strategies are enumerated under ``RAISED_BUDGET``;
+    the problem's budget is checked as the engine checks it
+    (``forward_selection_check``), on the distinct profiles of each key
+    below t, or where the engine's levels hold values
+    (``collapses``), on its distinct values."""
     tree = problem.tree
 
     def table(strat, tt, nn, ss, acc):
@@ -245,23 +286,39 @@ def strategy_value_sets(problem: ControlledProblem, t: int) -> dict:
         kids = [below(model, c, tt + 1, leaves) for c in tree.children[nn]]
         return accumulating_expect(model.transition[nn], kids)
 
-    out = {}
-    for node, state in problem.reachable[t]:
+    def profiles(tt, node, state) -> list:
+        out = []
+        for strat in naive_strategies(problem, tt, node, state, RAISED_BUDGET):
+            leaves = table(strat, tt, node, state, {})
+            out.append(tuple(below(m, node, tt, leaves) for m in problem.family.models))
+        return out
+
+    def values(tt, node, profs) -> list:
         vals = []
-        for strat in naive_strategies(problem, t, node, state):
-            leaves = table(strat, t, node, state, {})
-            res = vsup(
-                problem.cone,
-                [below(m, node, t, leaves) for m in problem.family.models],
-            )
+        for p in profs:
+            res = vsup(problem.cone, p)
             if res.status == NOT_EXISTS:
                 raise SupNotExistsError(
-                    f"supremum does not exist at t={t}, node={node!r}, strategy"
+                    f"supremum does not exist at t={tt}, node={node!r}, strategy"
                 )
             if res.value not in vals:
                 vals.append(res.value)
-        out[(node, state)] = tuple(vals)
-    return out
+        return vals
+
+    def size(tt, node, state) -> int:
+        profs = profiles(tt, node, state)
+        return len(values(tt, node, profs) if collapsed else set(profs))
+
+    collapsed = collapses(problem)
+    reachable = naive_reachable(problem)
+    forward_selection_check(problem, t, {
+        s: {key: size(s, *key) for key in reachable[s]}
+        for s in range(t + 1, tree.horizon + 1)
+    })
+    return {
+        (node, state): tuple(values(t, node, profiles(t, node, state)))
+        for node, state in problem.reachable[t]
+    }
 
 
 def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> dict:
@@ -345,8 +402,7 @@ def per_model_profile_level(problem: ControlledProblem, t: int, below) -> dict:
     """The forward level at time t over S_t on any family: per reachable
     (node, state), the distinct profiles of its strategies, each one
     expected terminal loss per model (``fraction_weights``), from the level
-    below (None at the horizon); each strategy count is checked against the
-    budget before its profiles are built."""
+    below (None at the horizon); its selections count against the budget."""
     if below is None:
         return {
             key: (losses * len(problem.family.models),)
@@ -355,12 +411,6 @@ def per_model_profile_level(problem: ControlledProblem, t: int, below) -> dict:
     weights = fraction_weights(problem.family)
     out = {}
     for node, state in problem.reachable[t]:
-        count = problem.strategy_counts[(node, state)]
-        if count > problem.budget:
-            raise DeskScaleExceededError(
-                f"strategy enumeration exceeds the budget of {problem.budget} "
-                f"({count} at t={t}, node={node!r}, state={state!r})"
-            )
         rows = weights[node]
         out[(node, state)] = tuple(dict.fromkeys(
             tuple(expect(row, xs) for row, xs in zip(rows, zip(*combo)))
@@ -371,19 +421,34 @@ def per_model_profile_level(problem: ControlledProblem, t: int, below) -> dict:
 
 def per_model_value_sets(problem: ControlledProblem, t: int) -> dict:
     """Forward value sets at t by ``per_model_profile_level`` from the
-    horizon down: the supremum of each distinct profile, deduped in profile
-    order, in true values."""
-    level = None
+    horizon down, under ``RAISED_BUDGET``: the supremum of each distinct
+    profile, deduped in profile order, in true values.  The problem's
+    budget is checked as the engine checks it (``forward_selection_check``),
+    on the distinct profiles of each key below t, or where the engine's
+    levels hold values (``collapses``), on its distinct values."""
+    raised = dataclasses.replace(problem, budget=RAISED_BUDGET)
+    levels = {}
     for s in range(problem.tree.horizon, t - 1, -1):
-        level = per_model_profile_level(problem, s, level)
-    scale = problem.scales[t]
-    return {
-        (node, state): tuple(dict.fromkeys(
-            tuple(Fraction(x, scale) for x in _sup_or_raise(
-                problem, p, f"t={t}, node={node!r}, strategy"))
+        levels[s] = per_model_profile_level(raised, s, levels.get(s + 1))
+
+    def values(s, node, profs) -> tuple:
+        return tuple(dict.fromkeys(
+            _sup_or_raise(problem, p, f"t={s}, node={node!r}, strategy")
             for p in profs
         ))
-        for (node, state), profs in level.items()
+
+    collapsed = collapses(problem)
+    forward_selection_check(problem, t, {
+        s: {key: len(values(s, key[0], profs) if collapsed else profs)
+            for key, profs in levels[s].items()}
+        for s in levels if s > t
+    })
+    scale = problem.scales[t]
+    return {
+        (node, state): tuple(
+            tuple(Fraction(x, scale) for x in v) for v in values(t, node, profs)
+        )
+        for (node, state), profs in levels[t].items()
     }
 
 

@@ -238,7 +238,8 @@ def test_vsup_points_of_two_dimensions(tmp_path, capsys):
 
 
 def test_pareto_below_an_over_budget_root(capsys):
-    # two root strategies, one from each time-1 point
+    # two root selections, one per control, each of one time-1 point per
+    # child
     code, out, _ = run(
         capsys, "pareto", "--instance", INSTANCE, "--time", "1", "--budget", "1"
     )
@@ -249,7 +250,7 @@ def test_pareto_below_an_over_budget_root(capsys):
     )
     assert code == 3
     assert err == (
-        "error: strategy enumeration exceeds the budget of 1 "
+        "error: selector product exceeds the budget of 1 "
         "(2 at t=0, node='n0', state='*')\n"
     )
 
@@ -321,7 +322,7 @@ def test_missing_reachable_dynamics_entry_is_an_input_error(
         entries[:] = [e for e in entries if any(e[k] != v for k, v in drop.items())]
     instance = tmp_path / "instance.json"
     instance.write_text(json.dumps(doc))
-    # the root's 8 strategies exceed a budget of 4, yet the input error wins
+    # the root's 8 selections exceed a budget of 4, yet the input error wins
     for argv in (["solve", "--budget", "4"], ["check-bellman"], ["rect"]):
         code, out, err = run(capsys, *argv, "--instance", str(instance))
         assert (code, out, err) == (2, "", f"error: {message}\n")

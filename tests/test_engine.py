@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -36,6 +36,7 @@ from robust_vdp.data import read_text
 from robust_vdp.instance import _parse_cone
 
 from .oracles import (
+    RAISED_BUDGET,
     at_level_scales,
     fraction_bellman_report,
     naive_reachable,
@@ -151,13 +152,14 @@ def test_budget_exceeded_in_enumeration():
     with pytest.raises(DeskScaleExceededError) as exc:
         backward_value(problem)
     assert str(exc.value) == (
-        "selector product at t=0, node='n0' exceeds the budget of 3 "
+        "selector product exceeds the budget of 3 "
         "(4 at t=0, node='n0', state='s0')"
     )
 
 
-def test_budget_counts_strategies_not_profiles():
-    # every loss equal: 8 strategies share one profile
+def test_budget_counts_selections():
+    # every loss equal: 8 strategies share one profile, so every key selects
+    # one profile per child and control, 2 selections at most
     tree = binary_two_period_tree()
     dyn = simple_dynamics(tree)
     dyn = dataclasses.replace(dyn, loss={s: (F(1),) for s in dyn.loss})
@@ -169,15 +171,124 @@ def test_budget_counts_strategies_not_profiles():
         dynamics=dyn,
         budget=3,
     )
-    assert value_sets(problem, 1) == {
-        key: ((F(1),),) for key in problem.reachable[1]
-    }
+    assert problem.strategy_counts[("n0", "s0")] == 8
+    with pytest.raises(DeskScaleExceededError):
+        enumerate_strategies(problem)
+    for budget in (3, 2):
+        fitting = dataclasses.replace(problem, budget=budget)
+        assert value_sets(fitting, 0) == {("n0", "s0"): ((F(1),),)}
+        assert check_bellman(fitting).equality_ok
+    below = dataclasses.replace(problem, budget=1)
     with pytest.raises(DeskScaleExceededError) as exc:
-        value_sets(problem, 0)
+        value_sets(below, 0)
     assert str(exc.value) == (
-        "strategy enumeration exceeds the budget of 3 "
-        "(8 at t=0, node='n0', state='s0')"
+        "selector product exceeds the budget of 1 "
+        "(2 at t=1, node='u', state='st_c1')"
     )
+
+
+def full_binary_tree(horizon):
+    levels, children = [("n",)], {}
+    for _ in range(horizon):
+        for n in levels[-1]:
+            children[n] = (n + "u", n + "d")
+        levels.append(tuple(c for n in levels[-1] for c in children[n]))
+    labels = {c: "up" if c[-1] == "u" else "down"
+              for kids in children.values() for c in kids}
+    return ScenarioTree(horizon, tuple(levels), children, labels)
+
+
+def _largest_selection(monkeypatch, fn, *args):
+    """fn(*args) and the largest number of selections that one
+    ``_selections`` call made in it: per (node, state), the sum over its
+    controls of the products of the children's set sizes."""
+    totals = [0]
+    selections = engine._selections
+
+    def recorded(problem, t, node, state, next_sets):
+        totals.append(sum(
+            prod(len(next_sets[k]) for k in keys)
+            for _, keys in problem.reachable[t][(node, state)]
+        ))
+        return selections(problem, t, node, state, next_sets)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_selections", recorded)
+        out = fn(*args)
+    return out, max(totals)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6, 8, 18])
+def test_product_family_decides_over_its_strategy_count(seed, monkeypatch):
+    # a binary tree of horizon 4 with two controls: 32,768 root strategies,
+    # yet at most 32 selections per (node, state), so the smallest budget
+    # that decides is that largest selection count, and below it the
+    # selector error is raised
+    rng = random.Random(seed)
+    family = random_marginal_family(rng, full_binary_tree(4))
+    problem = random_dynamics_problem(rng, max_controls=2, n_states=2, family=family)
+    raised = dataclasses.replace(problem, budget=RAISED_BUDGET)
+    expected = fraction_bellman_report(raised, per_model_value_sets)
+    _, budget = _largest_selection(monkeypatch, check_bellman, raised)
+    assert problem.collapsed
+    assert problem.strategy_counts[("n", "s0")] == 32768 and budget <= 32
+    fitting = dataclasses.replace(problem, budget=budget)
+    assert check_bellman(fitting) == expected
+    assert {t: value_sets(dataclasses.replace(fitting), t)
+            for t in range(5)} == expected.v
+    for fn, args in ((check_bellman, ()), (value_sets, (0,)), (backward_value, ())):
+        with pytest.raises(DeskScaleExceededError,
+                           match="^selector product exceeds the budget of"):
+            fn(dataclasses.replace(problem, budget=budget - 1), *args)
+
+
+def test_budget_error_exactly_when_a_selection_exceeds_it(monkeypatch):
+    # V, B and the Bellman check each raise the budget error exactly when
+    # one of their per-(node, state) selection counts exceeds the budget,
+    # whatever the strategy counts
+    rng = random.Random(167)
+    three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    problems = []
+    for i in range(40):
+        family = (random_marginal_family(rng, random_tree(rng, 4, 2, 12))
+                  if i % 2 else None)
+        problems.append(
+            random_tabulated_problem(rng, family=family) if i % 4 == 1
+            else random_dynamics_problem(
+                rng, max_controls=3, n_states=3, family=family)
+        )
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(rng, dim=3, max_controls=3, n_states=3),
+            cone=three_duals,
+        )
+        for _ in range(10)
+    ]
+    seen = Counter()
+    for problem in problems:
+        raised = dataclasses.replace(problem, budget=RAISED_BUDGET)
+        largest = {
+            fn: _largest_selection(monkeypatch, fn, dataclasses.replace(raised), *args)[1]
+            for fn, args in ((value_sets, (0,)), (backward_value, ()),
+                             (check_bellman, ()))
+        }
+        strategies = problem.strategy_counts[problem.tree.root, problem.initial_state]
+        for budget in {1, 2, 5, max(largest.values()) - 1, max(largest.values())}:
+            if budget < 1:
+                continue
+            for fn, args in ((value_sets, (0,)), (backward_value, ()),
+                             (check_bellman, ())):
+                got = _outcome(fn, dataclasses.replace(problem, budget=budget), *args)
+                raised_error = isinstance(got, tuple)
+                assert raised_error == (largest[fn] > budget)
+                if raised_error:
+                    assert got[0] == "DeskScaleExceededError"
+                    assert got[1].startswith("selector product exceeds the budget")
+                seen["raised" if raised_error else "decided"] += 1
+                seen["decided over the strategy count"] += (
+                    not raised_error and strategies > budget)
+    assert seen["raised"] > 100 and seen["decided"] > 100
+    assert seen["decided over the strategy count"] > 30
 
 
 def test_value_sets_builds_no_level_before_t(binomial):
@@ -261,16 +372,19 @@ def test_value_sets_equal_strategy_enumeration():
         )
     ]
     assert not halfspace.is_pointed()
-    over_budget = 0
+    over_budget = over_strategies = 0
     for problem in problems:
-        # a budget of 500 keeps the enumeration short and compares the
-        # budget errors of the few larger problems too
+        # a budget of 500 compares the budget errors of the few larger
+        # problems too, and the levels that decide although they have more
+        # strategies than that
         problem = dataclasses.replace(problem, budget=500)
         for t in range(problem.tree.horizon + 1):
             got = _outcome(value_sets, problem, t)
             assert got == _outcome(strategy_value_sets, problem, t)
             over_budget += not isinstance(got, dict)
-    assert 0 < over_budget < 10
+            over_strategies += isinstance(got, dict) and max(
+                problem.strategy_counts[key] for key in got) > problem.budget
+    assert 0 < over_budget < 10 and over_strategies > 0
 
 
 def test_value_sets_match_published_example(binomial):
@@ -984,7 +1098,7 @@ def _product_problems(rng, count):
             random_tabulated_problem(rng, family=family) if i % 2
             else random_dynamics_problem(rng, max_controls=2, family=family)
         )
-        problems.append(dataclasses.replace(problem, budget=rng.choice((30, 3000))))
+        problems.append(dataclasses.replace(problem, budget=rng.choice((8, 3000))))
     return problems
 
 
@@ -1011,14 +1125,19 @@ def test_product_families_equal_per_model_oracles():
         compared(_outcome(backward_value, problem),
                  _outcome(per_model_backward_value, problem))
         fresh = dataclasses.replace(problem)
-        compared(_outcome(check_bellman, fresh),
-                 _outcome(fraction_bellman_report, problem, per_model_value_sets))
+        report = compared(
+            _outcome(check_bellman, fresh),
+            _outcome(fraction_bellman_report, problem, per_model_value_sets),
+        )
         for t in range(horizon + 1):
             expected = _outcome(per_model_value_sets, problem, t)
             if isinstance(expected, dict):
                 expected = {key: tuple(pairwise_minimal_elements(vals, problem.cone))
                             for key, vals in expected.items()}
             compared(_outcome(upper_image, fresh, t), expected)
+        seen["decided over the strategy count"] += not isinstance(report, tuple) and (
+            problem.strategy_counts[problem.tree.root, problem.initial_state]
+            > problem.budget)
         family = problem.family
         seen["horizon 4"] += horizon == 4
         seen["tabulated"] += problem.mode == "tabulated"
@@ -1028,5 +1147,6 @@ def test_product_families_equal_per_model_oracles():
         seen["listed twice"] += len({m.assignment(problem.tree)
                                      for m in family.models}) < len(family.models)
     assert seen["decided"] > 900 and seen["DeskScaleExceededError"] > 20
+    assert seen["decided over the strategy count"] >= 4
     assert seen["horizon 4"] > 20 and seen["tabulated"] == 50
     assert seen["zero entry"] > 50 and seen["listed twice"] > 50

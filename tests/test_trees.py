@@ -17,6 +17,7 @@ from robust_vdp import (
     random_terminal_vectors,
     vsup_adapted,
 )
+from robust_vdp import trees
 from robust_vdp.data import read_text
 from robust_vdp.trees import expect, sums_to_one
 
@@ -220,12 +221,32 @@ def test_root_classes_are_the_distinct_assignments():
         assert sorted(set(index)) == list(range(len(keys)))
 
 
-def test_family_caches_equal_fraction_oracles():
-    # rows, denominators, weights and the product test on integer rows
-    # against the same on hashed Fraction rows: on product families, each
-    # also without one of its models and with one listed again, and on
-    # explicit families whose rows over 2 or 3 repeat across models
-    rng = random.Random(163)
+def _copied_rows(family: ModelFamily) -> ModelFamily:
+    """The family with every model's rows held as objects of their own:
+    equal rows, no shared row object."""
+    return ModelFamily(family.tree, tuple(
+        Model(m.id, {n: tuple(list(p)) for n, p in m.transition.items()})
+        for m in family.models
+    ))
+
+
+def _shared_rows(rng: random.Random, family: ModelFamily) -> ModelFamily:
+    """The family with some of its models taking, at some nodes, the very
+    row object of its first model."""
+    first = family.models[0].transition
+    return ModelFamily(family.tree, tuple(
+        Model(m.id, {n: first[n] if rng.random() < 0.5 else p
+                     for n, p in m.transition.items()})
+        for m in family.models
+    ))
+
+
+def _cache_families(rng: random.Random) -> list[ModelFamily]:
+    """The bundled and repeated-row families (``_families``), then per
+    random tree: a product family, also without one of its models, with one
+    listed again and with its rows copied; an explicit family whose rows
+    over 2 or 3 repeat across models, also with its first model's row
+    objects shared by others."""
     families = list(_families())
     for _ in range(30):
         tree = random_tree(rng, 4, 2, 12)
@@ -233,21 +254,65 @@ def test_family_caches_equal_fraction_oracles():
         models = list(family.models)
         again = Model(id="again", transition=rng.choice(models).transition)
         del models[rng.randrange(len(models))]
+        explicit = random_family(rng, tree, max_models=6,
+                                 level_denominators=[rng.choice((2, 3))] * tree.horizon)
         families += [
             family,
             ModelFamily(tree, tuple(models) or family.models),
             ModelFamily(tree, family.models + (again,)),
-            random_family(rng, tree, max_models=6,
-                          level_denominators=[rng.choice((2, 3))] * tree.horizon),
+            _copied_rows(family),
+            explicit,
+            _shared_rows(rng, explicit),
         ]
+    return families
+
+
+def test_family_caches_equal_fraction_oracles():
+    # rows, denominators, weights and the product test on integer rows
+    # against the same on hashed Fraction rows, whether equal rows are one
+    # object or several
+    rng = random.Random(163)
     seen = Counter()
-    for family in families:
+    for family in _cache_families(rng):
         assert family.rows == fraction_rows(family)
         assert family.denominators == fraction_denominators(family)
         assert family.weights == fraction_weights(family)
         assert family.is_product == assignment_is_m_rectangular(family)
         seen[family.is_product] += 1
-    assert seen[True] > 100 and seen[False] > 20
+        objects = {(n, id(m.transition[n]))
+                   for n in family.tree.inner_nodes for m in family.models}
+        rows = {(n, row) for n, rows in family.rows.items() for row in rows}
+        seen["an object of several models"] += len(objects) < (
+            len(family.models) * len(family.tree.inner_nodes))
+        seen["a row of several objects"] += len(objects) > len(rows)
+    assert seen[True] > 130 and seen[False] > 20
+    assert seen["an object of several models"] > 100
+    assert seen["a row of several objects"] > 80
+
+
+def test_each_row_object_is_scaled_once_per_node(monkeypatch):
+    # a row object shared by several models at a node (a parsed marginal
+    # candidate) is scaled to integer weights once there
+    rng = random.Random(173)
+    scaled = Counter()
+
+    def counted(row, d, _fn=trees._weights):
+        scaled[id(row)] += 1
+        return _fn(row, d)
+
+    monkeypatch.setattr(trees, "_weights", counted)
+    families = _cache_families(rng)
+    families.append(parse_document(read_text("binomial_marginals.json")).problem.family)
+    for family in families:
+        scaled.clear()
+        family.weights
+        per_node = [{id(m.transition[n]) for m in family.models}
+                    for n in family.tree.inner_nodes]
+        assert sum(scaled.values()) == sum(map(len, per_node))
+        assert set(scaled) == set().union(*per_node)
+    marginal = families[-1]
+    assert sum(scaled.values()) == len(marginal.tree.inner_nodes) * 2 < (
+        len(marginal.models) * len(marginal.tree.inner_nodes))
 
 
 def test_models_of_one_class_have_one_expectation():
