@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import ge, le
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -41,6 +41,7 @@ from .exactlp import (
     _int_row,
     dot,
     exact,
+    int_rref,
     lp_standard,
     mat_rank,
     scaled_points,
@@ -59,6 +60,64 @@ def _basis(d: int) -> tuple[Vec, ...]:
     return tuple(
         tuple(ONE if j == i else ZERO for j in range(d)) for i in range(d)
     )
+
+
+@dataclass(frozen=True)
+class DualImages:
+    """The image map ``x -> B x`` on integer rows B that decide a cone's
+    order (``Cone.order_index``): x precedes y exactly when ``B x <= B y``
+    coordinate by coordinate.  A finite collection then has a supremum
+    exactly when the coordinate-wise maximum y of its images lies in B's
+    column space, and every supremum V solves ``B V = y``.
+
+    One elimination of ``[B | I]`` gives both tests.  Its rows with a pivot
+    in B are the rows of the reduced system: for y in the column space they
+    read ``x_c = <s_c, y>`` at each pivot column c, the solution
+    ``solve_linear(B, y)`` returns (free coordinates zero), since the
+    pivots and row operations depend on B alone.  Its other rows vanish on
+    B and span the left null space, so y lies in the column space exactly
+    when each of them vanishes on y."""
+
+    rows: tuple[tuple[int, ...], ...]
+    #: per coordinate of the point, the integer row s with x_c = <s, y> / den
+    back: tuple[tuple[int, ...], ...]
+    den: int
+    #: integer rows spanning the left null space of B
+    null: tuple[tuple[int, ...], ...]
+
+    @staticmethod
+    def over(rows: Sequence[Sequence[int]], dim: int) -> "DualImages":
+        k = len(rows)
+        red, pivots = int_rref([
+            [*row, *(int(i == j) for j in range(k))] for i, row in enumerate(rows)
+        ])
+        # x_c = <row[dim:], y> / row[c] on each row with its pivot c in B
+        solving = [(c, row) for c, row in zip(pivots, red) if c < dim]
+        den = lcm(*(abs(row[c]) for c, row in solving))
+        solved = {
+            c: tuple(x * (den // row[c]) for x in row[dim:]) for c, row in solving
+        }
+        zero = (0,) * k
+        return DualImages(
+            rows=tuple(map(tuple, rows)),
+            back=tuple(solved.get(c, zero) for c in range(dim)),
+            den=den,
+            null=tuple(tuple(row[dim:]) for row in red[len(solving):]),
+        )
+
+    def image(self, x: Sequence) -> tuple:
+        """B x."""
+        return tuple(dot(b, x) for b in self.rows)
+
+    def in_range(self, y: Sequence) -> bool:
+        """Whether y lies in the column space of the rows."""
+        return not any(dot(z, y) for z in self.null)
+
+    def solution(self, y: Sequence, scale: int) -> Vec:
+        """``solve_linear(B, y)`` divided by scale, for y in the column
+        space."""
+        den = self.den * scale
+        return tuple(Fraction(dot(s, y), den) for s in self.back)
 
 
 @dataclass(frozen=True)
@@ -166,8 +225,16 @@ class Cone:
 
     @cached_property
     def dual_rank(self) -> Optional[int]:
-        """Rank of the dual rows, or None without a dual representation."""
-        return mat_rank(self.duals) if self.duals is not None else None
+        """Rank of the dual rows, or None without a dual representation:
+        the number of rows less the dimension of their left null space, from
+        the one elimination of the image map on all the rows."""
+        if self.duals is None:
+            return None
+        return len(self.duals) - len(self._all_row_images.null)
+
+    @cached_property
+    def _all_row_images(self) -> "DualImages":
+        return DualImages.over([row for row, _ in self.int_duals], self.dim)
 
     @cached_property
     def int_duals(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
@@ -192,15 +259,66 @@ class Cone:
     @cached_property
     def irredundant_index(self) -> tuple[int, ...]:
         """The indices of the dual rows kept when each row that is a
-        nonnegative combination of the rows kept is dropped (one membership
-        LP per row).  Dropping such a row changes neither the cone nor the
-        row space."""
+        nonnegative combination of the rows kept is dropped, row by row.
+        Dropping such a row changes neither the cone nor the row space.
+
+        A facet row (``_facet_index``) is a nonnegative combination of
+        other rows only through a positive parallel copy, so it is dropped,
+        without an LP, exactly when an equal primitive row (``int_duals``)
+        follows it.  Every other row takes one membership LP against the
+        rows kept so far."""
+        facets = self._facet_index()
+        ints = [row for row, _ in self.int_duals]
         kept = list(range(len(self.duals)))
         for i, row in enumerate(self.duals):
-            rest = tuple(self.duals[j] for j in kept if j != i)
-            if Cone(self.dim, GENERATORS, generators=rest).contains(row):
+            if i in facets:
+                redundant = ints[i] in ints[i + 1:]
+            else:
+                rest = tuple(self.duals[j] for j in kept if j != i)
+                redundant = Cone(self.dim, GENERATORS, generators=rest).contains(row)
+            if redundant:
                 kept.remove(i)
         return tuple(kept)
+
+    def _facet_index(self) -> frozenset[int]:
+        """The nonzero dual rows b whose tight generators have rank d - 1,
+        so that they span the hyperplane of b: one rank per row, no LP.
+        Every row is nonnegative on every generator
+        (``_check_consistency``), so a nonnegative combination of rows equal
+        to b vanishes on b's tight generators term by term.  Each term is
+        then a multiple of b, and for the sum to be b one of them is a
+        positive multiple."""
+        gens = self.generators
+        if gens is None:
+            return frozenset()
+        images = self.int_images(gens)[0]
+        facets = []
+        for i, (row, _) in enumerate(self.int_duals):
+            tight = [g for g, image in zip(gens, images) if image[i] == 0]
+            d = self.dim
+            if any(row) and len(tight) >= d - 1 and mat_rank(tight) == d - 1:
+                facets.append(i)
+        return frozenset(facets)
+
+    @cached_property
+    def order_index(self) -> tuple[int, ...]:
+        """The dual rows that decide the order: all of them when they are
+        linearly independent (then none is a nonnegative combination of the
+        others), else those at ``irredundant_index``, unless every row is
+        zero and dropped: the zero rows relate every pair."""
+        every = tuple(range(len(self.duals)))
+        if self.dual_rank == len(self.duals):
+            return every
+        return self.irredundant_index or every
+
+    @cached_property
+    def dual_images(self) -> "DualImages":
+        """The dual image map on the integer rows at ``order_index``."""
+        if len(self.order_index) == len(self.duals):
+            return self._all_row_images
+        return DualImages.over(
+            [self.int_duals[i][0] for i in self.order_index], self.dim
+        )
 
     def is_pointed(self) -> bool:
         """True iff C cap (-C) = {0}."""

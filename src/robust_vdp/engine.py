@@ -23,6 +23,15 @@ On the component-wise order over a product family the forward recursion
 collapses to the backward one (``ControlledProblem.collapsed``): a
 strategy's worst case over the models is then the nested node-by-node
 maximum, so V = B by construction and B takes V's levels.
+
+On any other cone with dual rows, V, B and R run on the component-wise
+engine over the dual images ``B x`` on the rows that decide the order
+(``ControlledProblem.images``): expectations commute with the image map,
+x precedes y exactly when ``B x <= B y``, and a supremum exists exactly
+when the coordinate-wise maximum of the images lies in B's column space.
+Each terminal loss is imaged once, each supremum is the component-wise
+kernel plus that range test, the set relations compare images, and each
+distinct printed value is mapped back once.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from math import lcm, prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from . import suprema
-from .cones import COMPONENTWISE, Cone, minimal_elements
+from .cones import COMPONENTWISE, Cone, DualImages, minimal_elements
 from .errors import (
     DeskScaleExceededError,
     DimensionMismatchError,
@@ -202,6 +211,25 @@ class ControlledProblem:
         tuples."""
         return {}
 
+    @cached_property
+    def images(self) -> Optional[DualImages]:
+        """The dual image map V, B and R run on (``Cone.dual_images``), or
+        None on the component-wise order, whose points are their own
+        images.  A cone that ``vsup`` refuses (``suprema.refusal``) runs on
+        the identity map until its first supremum raises the refusal."""
+        if self.cone.kind == COMPONENTWISE:
+            return None
+        if self.refused:
+            d = self.cone.dim
+            identity = [[int(i == j) for j in range(d)] for i in range(d)]
+            return DualImages.over(identity, d)
+        return self.cone.dual_images
+
+    @cached_property
+    def refused(self) -> bool:
+        """Whether ``vsup`` refuses every collection on the cone."""
+        return suprema.refusal(self.cone) is not None
+
     # -- a uniform (state, control) view over both modes ---------------------
 
     @property
@@ -284,15 +312,19 @@ def enumerate_strategies(
 
 
 def _sup_or_raise(problem: ControlledProblem, points, context: str) -> Vec:
-    """The supremum of engine-built points, which are exact and of the
-    cone's dimension: on the component-wise order the kernel alone, without
-    ``vsup``'s coercion and checks."""
-    if problem.cone.kind == COMPONENTWISE:
-        return suprema.vsup_componentwise(points)
-    res = vsup(problem.cone, points)
-    if res.status == NOT_EXISTS:
+    """The supremum of engine-built points, which are exact and of one
+    dimension: the component-wise kernel alone, without ``vsup``'s coercion
+    and checks.  Over dual images (``ControlledProblem.images``) the
+    maximum must also lie in the rows' column space."""
+    sup = suprema.vsup_componentwise(points)
+    images = problem.images
+    if images is None:
+        return sup
+    if problem.refused:
+        raise suprema.refusal(problem.cone)
+    if not images.in_range(sup):
         raise SupNotExistsError(f"supremum does not exist at {context}")
-    return res.value
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -346,25 +378,44 @@ def _level_at_scale(level: Mapping, s: int) -> LevelSets:
 
 def _level_true(problem: ControlledProblem, level: Mapping, s: int) -> LevelSets:
     """The level over the scale s in true values, each vector divided once
-    per problem (``ControlledProblem.true_vectors``)."""
+    per problem (``ControlledProblem.true_vectors``); over dual images each
+    distinct image is mapped back once, to the supremum ``vsup`` prints
+    (``DualImages.solution``)."""
     memo = problem.true_vectors.setdefault(s, {})
+    images = problem.images
+    back = _true if images is None else images.solution
 
     def true(v):
         x = memo.get(v)
         if x is None:
-            x = memo[v] = _true(v, s)
+            x = memo[v] = back(v, s)
         return x
 
     return {key: tuple(map(true, vals)) for key, vals in level.items()}
 
 
-def _terminal_level(problem: ControlledProblem) -> LevelSets:
+def _imaged(problem: ControlledProblem, level: LevelSets) -> LevelSets:
+    """The level's vectors as the engine runs on them: their dual images
+    (``ControlledProblem.images``), or themselves on the component-wise
+    order."""
+    images = problem.images
+    if images is None:
+        return level
+    return {key: tuple(map(images.image, vals)) for key, vals in level.items()}
+
+
+def _raw_terminal_level(problem: ControlledProblem) -> LevelSets:
     """The one terminal loss of each reachable horizon key, over S_T."""
     s = problem.scales[problem.tree.horizon]
     return {
         key: (_at_scale(problem.terminal_loss_at(*key), s),)
         for key in problem.reachable[problem.tree.horizon]
     }
+
+
+def _terminal_level(problem: ControlledProblem) -> LevelSets:
+    """``_raw_terminal_level`` as the engine runs on it (``_imaged``)."""
+    return _imaged(problem, _raw_terminal_level(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +516,14 @@ def backward_value(problem: ControlledProblem) -> dict[int, LevelSets]:
         for t in range(horizon - 1, -1, -1):
             out[t] = _one_step_sets(problem, t, out[t + 1])
     problem.scaled_levels.update((("b", t), lvl) for t, lvl in out.items())
-    return {t: _level_true(problem, lvl, problem.scales[t]) for t, lvl in out.items()}
+    true = {t: _level_true(problem, lvl, problem.scales[t]) for t, lvl in out.items()}
+    if problem.images is not None:
+        # B_T is each terminal loss itself, not the supremum its image maps to
+        true[horizon] = {
+            key: tuple(_true(v, problem.scales[horizon]) for v in vals)
+            for key, vals in _raw_terminal_level(problem).items()
+        }
+    return true
 
 
 def one_step_R(
@@ -474,7 +532,7 @@ def one_step_R(
     """One-step recursion fed with the exact forward value sets at t+1."""
     scales = problem.scales
     level = problem.scaled_levels["r", t] = _one_step_sets(
-        problem, t, _level_at_scale(v_next, scales[t + 1])
+        problem, t, _imaged(problem, _level_at_scale(v_next, scales[t + 1]))
     )
     return _level_true(problem, level, scales[t])
 
@@ -596,9 +654,12 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
     takes V's levels.  R at t is B at t wherever V and B, the inputs of
     their one-step maps, agree at t+1.  Both are
     decided on the levels over S_t that the three builders leave on the
-    problem (``ControlledProblem.scaled_levels``)."""
+    problem (``ControlledProblem.scaled_levels``), over dual images by the
+    component-wise order on them."""
     tree = problem.tree
     cone = problem.cone
+    images = problem.images
+    order = cone if images is None else Cone.componentwise(len(images.rows))
     v_all = {t: value_sets(problem, t) for t in range(tree.horizon + 1)}
     b_all = backward_value(problem)
     scaled = problem.scaled_levels
@@ -612,7 +673,7 @@ def check_bellman(problem: ControlledProblem) -> BellmanReport:
             r_scaled[t] = scaled["r", t]
 
     def relations(x, y):
-        return cone.set_precurly(x, y), cone.set_curlyprec(x, y)
+        return order.set_precurly(x, y), order.set_curlyprec(x, y)
 
     rows = []
     for t in range(tree.horizon):

@@ -117,18 +117,18 @@ def _combine(row: list[int], prow: list[int], c: int) -> list[int]:
 # Gaussian elimination
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
-
-    The elimination runs on integer rows; each pivot row is divided by its
-    pivot once, at the end."""
+def int_rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The elimination of ``rref`` on integer rows, without its division:
+    returns (rows, pivot column indices), where each row with a pivot is a
+    nonzero integer multiple of its reduced row (its pivot, not 1, at its
+    pivot column and 0 at every other pivot column) and the zero rows
+    without a pivot follow."""
     m = [_int_row(r)[0] for r in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(m[0])):
         pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot_row is None:
             continue
@@ -141,8 +141,20 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    The elimination runs on integer rows (``int_rref``); each pivot row is
+    divided by its pivot once, at the end."""
+    m, pivots = int_rref(rows)
+    if not m:
+        return [], []
+    ncols = len(m[0])
     red = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    red += [[ZERO] * ncols for _ in range(len(m) - r)]
+    red += [[ZERO] * ncols for _ in range(len(m) - len(pivots))]
     return red, pivots
 
 
@@ -276,7 +288,8 @@ def lp_standard(
 
     # phase 2
     allowed = [j < n for j in range(total)]
-    cost = _int_row([*c, *[0] * (m + 1)])[0]
+    c_ints, c_scale = _int_row(c)
+    cost = c_ints + [0] * (m + 1)
     for i in range(m):
         bj = basis[i]
         if bj < n and cost[bj] != 0:
@@ -286,11 +299,17 @@ def lp_standard(
     if status == "unbounded":
         return LPResult("unbounded")
     x = [ZERO] * n
+    # the objective sum(c_j x_j) over the basic variables, on integers:
+    # x_j = rhs / pivot and c_j = c_ints[j] / c_scale
+    num, den = 0, 1
     for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][total], tab[i][basis[i]])
-    val = dot(c, x)
-    return LPResult("optimal", tuple(x), val)
+        j = basis[i]
+        if j < n:
+            rhs, pivot = tab[i][total], tab[i][j]
+            x[j] = Fraction(rhs, pivot)
+            if c_ints[j]:
+                num, den = num * pivot + c_ints[j] * rhs * den, den * pivot
+    return LPResult("optimal", tuple(x), Fraction(num, den * c_scale))
 
 
 def lp(

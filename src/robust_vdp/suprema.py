@@ -137,6 +137,30 @@ def _lex_minimal_point(b_rows, alpha) -> Optional[Vec]:
     return y
 
 
+def _general_refusal(cone: Cone) -> Optional[Exception]:
+    """The error ``vsup_general`` refuses every collection on the cone with,
+    or None."""
+    if cone.duals is None:
+        return RepresentationError(
+            "vsup_general needs a dual representation of the cone"
+        )
+    if cone.dim > MAX_GENERAL_DIM or len(cone.duals) > MAX_GENERAL_DUALS:
+        return DeskScaleExceededError(
+            f"vsup_general is limited to dimension <= {MAX_GENERAL_DIM} "
+            f"and <= {MAX_GENERAL_DUALS} dual inequalities"
+        )
+    return None
+
+
+def refusal(cone: Cone) -> Optional[Exception]:
+    """The error ``vsup`` refuses every collection on the cone with, or None
+    when it decides them: a cone without dual rows, or one beyond desk scale
+    on the general route."""
+    if cone.duals is not None and cone.dual_rank == len(cone.duals):
+        return None
+    return _general_refusal(cone)
+
+
 def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     """Exact supremum decision for a polyhedral cone given by duals.
 
@@ -149,27 +173,29 @@ def vsup_general(cone: Cone, xs: Iterable[Iterable]) -> SupResult:
     alpha``.  If ``beta_i > alpha_i``, b_i is no nonnegative combination of
     the other rows, so Farkas' lemma gives a z with ``<b_j, z> >= 0`` for
     all j != i and ``<b_i, z> < 0``; then V + eps z is an upper bound that
-    is not above V.  Without a supremum the result certifies it with the
-    lexicographically minimal point of P and a point of P that point does
-    not precede; an empty P (a cone without interior) has no upper bound.
+    is not above V.  At full dual rank a solution V over all the rows, when
+    there is one, is the same point: it lies in P, and every y in P has
+    ``B y >= alpha = B V``; so the irredundant rows are found only when
+    that system is inconsistent.  Without a supremum the result certifies
+    it with the lexicographically minimal point of P and a point of P that
+    point does not precede; an empty P (a cone without interior) has no
+    upper bound.
     The candidate takes one LP per dual row until the rows fixed have rank
     d (``_lex_minimal_point``), and the witness is the first vertex of P,
     tested on integer rows (``iter_vertices``), that the candidate does not
     precede; a P without vertices takes per-row minimisers instead.
     """
     pts = _require_points(xs)
-    if cone.duals is None:
-        raise RepresentationError(
-            "vsup_general needs a dual representation of the cone"
-        )
+    refused = _general_refusal(cone)
+    if refused is not None:
+        raise refused
     b_rows = cone.duals
-    if cone.dim > MAX_GENERAL_DIM or len(b_rows) > MAX_GENERAL_DUALS:
-        raise DeskScaleExceededError(
-            f"vsup_general is limited to dimension <= {MAX_GENERAL_DIM} "
-            f"and <= {MAX_GENERAL_DUALS} dual inequalities"
-        )
     int_alpha, scale = _scaled_alpha(cone, pts)
-    found = _dual_solution(cone, cone.irredundant_index, int_alpha, scale)
+    every = tuple(range(len(b_rows)))
+    first = every if cone.dual_rank == cone.dim else cone.irredundant_index
+    found = _dual_solution(cone, first, int_alpha, scale)
+    if found is None and cone.irredundant_index != first:
+        found = _dual_solution(cone, cone.irredundant_index, int_alpha, scale)
     if found is not None:
         return found
     # the certificate LPs keep the rational rows and alpha: scaling a row

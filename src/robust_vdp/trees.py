@@ -178,18 +178,25 @@ class ModelFamily:
         )
 
     @cached_property
+    def _object_weights(self) -> dict[str, list[tuple[int, ...]]]:
+        """Per non-terminal node, each distinct row object
+        (``_row_objects``) as integer weights p * D_t, scaled once."""
+        return {
+            n: [_weights(row, d) for row in self._row_objects[n][0]]
+            for level, d in zip(self.tree.levels, self.denominators)
+            for n in level
+        }
+
+    @cached_property
     def weights(self) -> dict[str, tuple[tuple[int, ...], ...]]:
         """Per non-terminal node, each model's row as integer weights
         p * D_t, in model order, each row object scaled once.  Two rows at a
         node are equal exactly when their weights are, so the family's rows
         are told apart on these."""
-        out = {}
-        for level, d in zip(self.tree.levels, self.denominators):
-            for n in level:
-                rows, index = self._row_objects[n]
-                scaled = [_weights(row, d) for row in rows]
-                out[n] = tuple(scaled[k] for k in index)
-        return out
+        return {
+            n: tuple(scaled[k] for k in self._row_objects[n][1])
+            for n, scaled in self._object_weights.items()
+        }
 
     @cached_property
     def rows(self) -> dict[str, tuple[tuple[Fraction, ...], ...]]:
@@ -208,11 +215,14 @@ class ModelFamily:
         """Whether the family is the full product of its node rows.  Every
         model draws its rows from them, so the family lies in their product,
         and equality is a count: the models' distinct tuples of row indices,
-        one index per node, against the product of the per-node counts."""
+        one index per node, against the product of the per-node counts.
+        Each node's distinct row objects are told apart by their weights
+        once, and each model reads its row's index through its object."""
         indices, size = [], 1
-        for weights in self.weights.values():
+        for n, scaled in self._object_weights.items():
             found: dict[tuple[int, ...], int] = {}
-            indices.append([found.setdefault(w, len(found)) for w in weights])
+            distinct = [found.setdefault(w, len(found)) for w in scaled]
+            indices.append(map(distinct.__getitem__, self._row_objects[n][1]))
             size *= len(found)
         return len(set(zip(*indices))) == size
 

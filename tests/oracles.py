@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from robust_vdp import (
     COMPONENTWISE,
+    GENERATORS,
     NON_UNIQUE,
     NOT_EXISTS,
     UNIQUE,
@@ -43,9 +44,8 @@ from robust_vdp import engine
 from robust_vdp.engine import (
     UpperImageReport,
     UpperImageRow,
+    _raw_terminal_level,
     _selections,
-    _sup_or_raise,
-    _terminal_level,
 )
 from robust_vdp.exactlp import (
     ONE,
@@ -87,6 +87,25 @@ def coercing_vsup_componentwise(xs) -> tuple:
     if any(len(p) != d for p in pts):
         raise ValueError("all vectors must share one dimension")
     return tuple(max(p[i] for p in pts) for i in range(d))
+
+
+def vsup_or_raise(problem: ControlledProblem, points, context: str):
+    """The supremum of the points under the problem's cone by ``vsup``, or
+    the engine's ``SupNotExistsError`` at context."""
+    res = vsup(problem.cone, points)
+    if res.status == NOT_EXISTS:
+        raise SupNotExistsError(f"supremum does not exist at {context}")
+    return res.value
+
+
+def use_vsup_path(m) -> None:
+    """Set the engine, through the monkeypatch context m, to run on a dual
+    cone as it did before it ran on dual images: every supremum by ``vsup``
+    on the points themselves (``vsup_or_raise``), the set relations by the
+    cone itself, and every level divided back as it is.  Problems built
+    before must not be reused under it."""
+    m.setattr(engine, "_sup_or_raise", vsup_or_raise)
+    m.setattr(ControlledProblem, "images", None)
 
 
 def is_upper_bound(cone: Cone, points, v) -> bool:
@@ -329,7 +348,7 @@ def per_model_one_step_sets(problem: ControlledProblem, t: int, next_sets) -> di
         rows = [m.transition[node] for m in problem.family.models]
         context = f"t={t}, node={node!r}, selector"
         out[(node, state)] = tuple(dict.fromkeys(
-            _sup_or_raise(
+            vsup_or_raise(
                 problem, [accumulating_expect(row, combo) for row in rows], context
             )
             for combo in _selections(problem, t, node, state, next_sets)
@@ -406,7 +425,7 @@ def per_model_profile_level(problem: ControlledProblem, t: int, below) -> dict:
     if below is None:
         return {
             key: (losses * len(problem.family.models),)
-            for key, losses in _terminal_level(problem).items()
+            for key, losses in _raw_terminal_level(problem).items()
         }
     weights = fraction_weights(problem.family)
     out = {}
@@ -433,7 +452,7 @@ def per_model_value_sets(problem: ControlledProblem, t: int) -> dict:
 
     def values(s, node, profs) -> tuple:
         return tuple(dict.fromkeys(
-            _sup_or_raise(problem, p, f"t={s}, node={node!r}, strategy")
+            vsup_or_raise(problem, p, f"t={s}, node={node!r}, strategy")
             for p in profs
         ))
 
@@ -505,16 +524,34 @@ def fraction_bellman_report(
 def at_level_scales(one_step):
     """A drop-in for ``engine._one_step_sets``, whose sets at t are over the
     level scale S_t, that runs ``one_step`` on the true-scale sets: the
-    scaled sets are divided back, and its result is scaled up again."""
+    scaled sets are divided back, and its result is scaled up again.  On a
+    problem that runs on dual images (``ControlledProblem.images``) each
+    image is mapped back to a point with that image, and each result point
+    is imaged again."""
     def scaled(problem: ControlledProblem, t: int, next_sets) -> dict:
         s_next, s = problem.scales[t + 1], problem.scales[t]
-        true = {
-            key: tuple(tuple(Fraction(x) / s_next for x in v) for v in vals)
-            for key, vals in next_sets.items()
+        images = problem.images
+        if images is None:
+            def true(v):
+                return tuple(Fraction(x) / s_next for x in v)
+
+            def image(v):
+                return tuple(x * s for x in v)
+        else:
+            rows = images.rows
+
+            def true(v):
+                x = solve_linear(rows, v, problem.cone.dim)
+                return tuple(c / s_next for c in x)
+
+            def image(v):
+                return tuple(dot(b, v) * s for b in rows)
+        true_sets = {
+            key: tuple(map(true, vals)) for key, vals in next_sets.items()
         }
         return {
-            key: tuple(tuple(x * s for x in v) for v in vals)
-            for key, vals in one_step(problem, t, true).items()
+            key: tuple(map(image, vals))
+            for key, vals in one_step(problem, t, true_sets).items()
         }
 
     return scaled
@@ -807,6 +844,18 @@ def fraction_vsup(cone: Cone, xs) -> SupResult:
         argmins = ((b, lp(list(b), a_ge=list(b_rows), b_ge=alpha).x) for b in b_rows)
         witness = next(y for b, y in argmins if dot(b, y) < dot(b, candidate))
     return SupResult(NOT_EXISTS, undominated=witness, candidate=candidate)
+
+
+def lp_irredundant_index(cone: Cone) -> tuple:
+    """``Cone.irredundant_index`` by one membership LP per row: each row in
+    turn is dropped when it is a nonnegative combination of the rows kept
+    so far, later rows included."""
+    kept = list(range(len(cone.duals)))
+    for i, row in enumerate(cone.duals):
+        rest = tuple(cone.duals[j] for j in kept if j != i)
+        if Cone(cone.dim, GENERATORS, generators=rest).contains(row):
+            kept.remove(i)
+    return tuple(kept)
 
 
 def pairwise_set_precurly(cone: Cone, a, b) -> bool:

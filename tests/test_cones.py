@@ -7,7 +7,7 @@ import pytest
 
 from robust_vdp import Cone, UnsupportedConeError, minimal_elements, vsup
 from robust_vdp import cones
-from robust_vdp.cones import DimensionMismatchError, RepresentationError
+from robust_vdp.cones import DimensionMismatchError, DualImages, RepresentationError
 from robust_vdp.data import read_text
 from robust_vdp.exactlp import dot, vec
 from robust_vdp.instance import _parse_cone
@@ -149,21 +149,23 @@ def test_minimal_elements_images_each_point_once(monkeypatch):
 
 
 def test_dual_rank_computed_once_per_cone(roof, monkeypatch):
-    ranks = []
-
-    def counted(rows):
-        ranks.append(rows)
-        return real(rows)
-
-    real = cones.mat_rank
-    monkeypatch.setattr(cones, "mat_rank", counted)
+    # the dual rank comes from one elimination of all the integer dual rows
+    # per cone (``DualImages.over``); the roof's irredundant rows take ranks
+    # of its generators only (``Cone.irredundant_index``)
+    eliminated, ranks = [], []
+    over, rank = DualImages.over, cones.mat_rank
+    monkeypatch.setattr(DualImages, "over", staticmethod(
+        lambda rows, d: eliminated.append(rows) or over(rows, d)))
+    monkeypatch.setattr(cones, "mat_rank", lambda rows: ranks.append(rows) or rank(rows))
     three_duals = Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]])
     for cone in (three_duals, roof):  # dual-LI and general vsup routes
         for k in range(3):
             vsup(cone, [(k, 0, 1), (0, k, 2)])
             minimal_elements([(k, 0, 0), (0, 0, 0)], cone)
             assert cone.is_pointed()
-    assert ranks == [three_duals.duals, roof.duals]
+    assert eliminated == [[row for row, _ in cone.int_duals]
+                          for cone in (three_duals, roof)]
+    assert ranks and all(set(rows) <= set(roof.generators) for rows in ranks)
 
 
 def _outcome(fn, *args):

@@ -15,6 +15,7 @@ from robust_vdp import (
     DynamicsSpec,
     Model,
     ModelFamily,
+    RepresentationError,
     ScenarioTree,
     SupNotExistsError,
     UnsupportedConeError,
@@ -53,6 +54,7 @@ from .oracles import (
     random_tree,
     stepwise_pruned_backward,
     strategy_value_sets,
+    use_vsup_path,
 )
 
 F = Fraction
@@ -1150,3 +1152,131 @@ def test_product_families_equal_per_model_oracles():
     assert seen["decided over the strategy count"] >= 4
     assert seen["horizon 4"] > 20 and seen["tabulated"] == 50
     assert seen["zero entry"] > 50 and seen["listed twice"] > 50
+
+
+#: cones with dual rows of every route, pointed or not: half-spaces, three
+#: and two independent rows, the pyramid, a redundant row, a parallel copy,
+#: and two rows plus a parallel copy of one
+DUAL_CONES = [
+    Cone.halfspace((1, 1, 1)),
+    Cone.halfspace((2, -1, 1)),
+    Cone.from_duals([[1, 0, 0], [1, 1, 0], [0, 1, 1]]),
+    Cone.from_duals([[1, 0, 1], [0, 1, -1]]),
+    Cone.from_duals([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]),
+    Cone.from_duals([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]]),
+    Cone.from_duals([[2, 0, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0]]),
+    Cone.from_duals([[1, 1, 0], [0, 1, 0], [2, 2, 0]]),
+]
+
+
+def _result(fn, *args):
+    try:
+        return fn(*args)
+    except (DeskScaleExceededError, SupNotExistsError, UnsupportedConeError,
+            RepresentationError) as e:
+        return type(e).__name__, str(e)
+
+
+def _engine_outcomes(problem) -> dict:
+    """V at every time, B, R on V, the Bellman report and the pruned
+    results of one problem, each on a fresh copy where the engine would
+    build it afresh."""
+    horizon = problem.tree.horizon
+    out = {("V", t): _result(value_sets, problem, t) for t in range(horizon + 1)}
+    out["B"] = _result(backward_value, problem)
+    for t in range(horizon):
+        if isinstance(out["V", t + 1], dict):
+            out["R", t] = _result(one_step_R, problem, t, out["V", t + 1])
+    out["report"] = _result(check_bellman, dataclasses.replace(problem))
+    out["pruned"] = _result(compute_results, dataclasses.replace(problem), True)
+    return out
+
+
+def test_dual_images_equal_the_vsup_path(monkeypatch):
+    # V, B, R, the Bellman report and the pruned results on dual images
+    # against the engine with every supremum by ``vsup`` on the points
+    # themselves, values and errors alike: no supremum (same text), a cone
+    # without dual rows and a general-route cone beyond desk scale.  Where
+    # the cone is not pointed, profiles with equal images are one profile,
+    # so only the vsup path may exceed the budget there
+    rng = random.Random(181)
+    roof = _parse_cone(json.loads(read_text("cone_roof3d.json")), 3, "/")
+    beyond = Cone.from_duals(
+        [[int(i == j) for j in range(5)] for i in range(5)] + [[1, 1, 0, 0, 0]]
+    )
+    problems = [
+        dataclasses.replace(
+            random_tabulated_problem(rng, dim=3, max_strategies=3) if i % 2
+            else random_dynamics_problem(rng, dim=3, max_controls=3, n_states=3),
+            cone=cone, budget=rng.choice((6, 20, 500)),
+        )
+        for i, cone in enumerate(DUAL_CONES * 5 + DUAL_CONES[4:5] * 10)
+    ]
+    problems += [
+        dataclasses.replace(
+            random_dynamics_problem(rng, dim=cone.dim, max_controls=1, max_models=3),
+            cone=cone,
+        )
+        for cone in (roof, roof, Cone.from_generators(roof.generators), beyond)
+    ]
+    seen = Counter()
+    for problem in problems:
+        got = _engine_outcomes(dataclasses.replace(problem))
+        with monkeypatch.context() as m:
+            use_vsup_path(m)
+            expected = _engine_outcomes(dataclasses.replace(problem))
+        for key, want in expected.items():
+            if got.get(key) != want:
+                # the vsup path counts the selections of every profile
+                assert not problem.cone.is_pointed()
+                assert "selector product exceeds" in want[1]
+                seen["merged"] += 1
+            elif isinstance(want, tuple):
+                seen[want[0]] += 1
+                seen["beyond desk scale"] += "vsup_general is limited" in want[1]
+            else:
+                seen["decided"] += 1
+    assert seen["decided"] > 250 and seen["SupNotExistsError"] > 20
+    assert seen["RepresentationError"] >= 5 and seen["beyond desk scale"] >= 5
+    assert seen["DeskScaleExceededError"] > 15 and seen["UnsupportedConeError"] > 10
+
+
+def _lineality_problem(budget: int) -> ControlledProblem:
+    """Binary, horizon 2, on the bundled marginal family and the half-space
+    w = (1, 1, 1): every state admits a -> s0 and b -> s1, with the losses
+    (1, 0, 0) at s0 and (0, 1, 0) at s1, whose difference lies in the
+    half-space's lineality space."""
+    family = parse_document(read_text("binomial_marginals.json")).problem.family
+    tree = family.tree
+    states = ("s0", "s1")
+    dynamics = DynamicsSpec(
+        initial_state="s0",
+        admissible={(t, s): ("a", "b") for t in range(2) for s in states},
+        transition={
+            (t, s, a, label): nxt
+            for t in range(2) for s in states
+            for a, nxt in (("a", "s0"), ("b", "s1"))
+            for label in ("up", "down")
+        },
+        loss={"s0": (F(1), F(0), F(0)), "s1": (F(0), F(1), F(0))},
+    )
+    return ControlledProblem(
+        tree=tree, family=family, cone=Cone.halfspace((1, 1, 1)), mode="dynamics",
+        dynamics=dynamics, budget=budget,
+    )
+
+
+def test_profiles_with_equal_images_are_one_profile(monkeypatch):
+    # the two losses have equal images, so every profile does: with one
+    # profile per key, a budget of 2 decides what the vsup path decides
+    # only from a budget of 8 on
+    got = {b: _result(compute_results, _lineality_problem(b)) for b in (2, 8)}
+    with monkeypatch.context() as m:
+        use_vsup_path(m)
+        expected = {b: _result(compute_results, _lineality_problem(b)) for b in (2, 8)}
+    assert expected[2] == (
+        "DeskScaleExceededError",
+        "selector product exceeds the budget of 2 (4 at t=0, node='n0', state='s0')",
+    )
+    assert got[2] == got[8] == expected[8]
+    assert got[2].report.v[0] == {("n0", "s0"): ((F(1), F(0), F(0)),)}

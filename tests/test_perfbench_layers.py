@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from robust_vdp import cones, engine, exactlp
 from robust_vdp.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,10 +44,15 @@ gen = _load("gen")
 spans = _load("spans")
 checks = _load("checks")
 REFS = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))
-#: ``suprema.lp`` calls per seed-1 catalog pass: only cone-lp's eight
-#: non-existence certificates solve LPs, d = 3 lexicographic ones each
-#: (four on the 8-row roof, four on a 4-row cone)
-LP_CALLS = {"cone-lp": 24}
+#: ``suprema.lp`` calls per seed-1 catalog pass: only the non-existence
+#: certificates of cone-lp's ``vsup`` calls solve LPs, d = 3 lexicographic
+#: ones each (four on the 8-row roof, two on the 4-row pyramid); the engine
+#: makes none
+LP_CALLS = {"cone-lp": 18}
+#: ``lp_standard`` solves per seed-1 catalog pass at every site: the
+#: certificate LPs and the membership LPs of ``Cone.irredundant_index`` on
+#: the 4-row cones, which have no generators
+LP_STANDARD_CALLS = {"cone-lp": 42}
 
 
 @pytest.mark.parametrize("workload", sorted(spans.MAPPED))
@@ -54,6 +60,19 @@ def test_one_traced_pass_records_every_mapped_layer(workload, tmp_path, monkeypa
     entries = gen.write(workload, 1, tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ROBUST_VDP_BUDGET", raising=False)
+    solves, engine_sups = [], []
+
+    def lp_standard(*args, _fn=exactlp.lp_standard):
+        solves.append(args)
+        return _fn(*args)
+
+    def vsup(*args, _fn=engine.vsup):
+        engine_sups.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(exactlp, "lp_standard", lp_standard)
+    monkeypatch.setattr(cones, "lp_standard", lp_standard)
+    monkeypatch.setattr(engine, "vsup", vsup)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -73,3 +92,6 @@ def test_one_traced_pass_records_every_mapped_layer(workload, tmp_path, monkeypa
                if not recorded[spans.LAYER_METRICS[m][0]]]
     assert missing == []
     assert recorded["exactlp.lp"] == LP_CALLS.get(workload, 0)
+    assert len(solves) == LP_STANDARD_CALLS.get(workload, 0)
+    # every engine supremum runs on the component-wise kernel
+    assert engine_sups == []

@@ -18,7 +18,7 @@ from robust_vdp import (
 )
 from robust_vdp import suprema
 from robust_vdp.data import read_text
-from robust_vdp.exactlp import dot, lp, lp_standard, vadd
+from robust_vdp.exactlp import dot, lp, lp_standard, solve_linear, vadd
 from robust_vdp.instance import _parse_cone
 from robust_vdp.suprema import vsup_componentwise
 
@@ -27,6 +27,7 @@ from .oracles import (
     coercing_vsup_componentwise,
     is_supremum,
     is_upper_bound,
+    lp_irredundant_index,
 )
 
 F = Fraction
@@ -357,3 +358,141 @@ def test_irredundant_duals_once_per_cone(roof, monkeypatch):
         vsup(cone, [(k, 0, 1), (0, k, 2)])
         vsup(cone, [(0, 0, 0), (F(1, 4), F(-1, 4), 0)])
     assert membership == list(roof.duals)
+
+
+#: the pyramid {|x_1| <= x_3, |x_2| <= x_3}: its facet rows and its edges
+PYRAMID_ROWS = [(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)]
+PYRAMID_EDGES = [(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+
+
+def _generator_cones(roof, rng, count):
+    """Random cones with generators and dual rows that the constructor
+    accepts: the roof, the pyramid with all or 3 of its 4 edges, the
+    orthant, and a quadrant in a plane (which leaves two rows tight on
+    every generator), each with its facet rows and added rows (positive
+    parallel copies, zero rows, sums of two rows), shuffled."""
+    bases = [
+        (list(roof.generators), list(roof.duals)),
+        (PYRAMID_EDGES, PYRAMID_ROWS),
+        (PYRAMID_EDGES[:3], PYRAMID_ROWS),
+        (PYRAMID_EDGES[1:], PYRAMID_ROWS),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        # generators spanning a plane, and two rows tight on both
+        ([(1, 0, 0), (0, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]),
+    ]
+    cones = []
+    while len(cones) < count:
+        gens, rows = rng.choice(bases)
+        rows = [tuple(map(F, row)) for row in rows]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.choice(("copy", "zero", "sum"))
+            if kind == "copy":
+                k = F(rng.randint(1, 4), rng.choice((1, 2, 3)))
+                rows.append(tuple(k * x for x in rng.choice(rows)))
+            elif kind == "zero":
+                rows.append((F(0),) * 3)
+            else:
+                a, b = rng.sample(rows, 2)
+                rows.append(tuple(x + y for x, y in zip(a, b)))
+        rng.shuffle(rows)
+        try:
+            cones.append(Cone.from_generators(gens, rows))
+        except ValueError:  # a sum tight on no generator
+            continue
+    return cones
+
+
+def test_facet_rows_keep_the_lp_loop_index(roof, monkeypatch):
+    # the irredundant rows with facets found by rank tests equal the LP
+    # loop's, parallel copies (the last one kept), zero and summed rows
+    # included, and the facets take no membership LP
+    rng = random.Random(191)
+    cones = _generator_cones(roof, rng, 120)
+    expected = [lp_irredundant_index(cone) for cone in cones]
+    membership = []
+    real = Cone.contains
+    monkeypatch.setattr(
+        Cone, "contains", lambda self, x: membership.append(x) or real(self, x)
+    )
+    seen = {"copies": 0, "zero": 0, "lp rows": 0, "three edges": 0, "plane": 0}
+    for cone, want in zip(cones, expected):
+        membership.clear()
+        assert cone.irredundant_index == want
+        rows = [row for row, _ in cone.int_duals]
+        seen["copies"] += len(set(rows)) < len(rows)
+        seen["zero"] += (0, 0, 0) in rows
+        seen["lp rows"] += bool(membership)
+        seen["three edges"] += len(cone.generators) == 3 and cone.generators[0][2] == 1
+        seen["plane"] += len(cone.generators) == 2
+        if not membership and len(set(rows)) == len(rows):
+            assert cone.irredundant_index == tuple(range(len(rows)))
+    assert all(count > 10 for count in seen.values()), seen
+    # the bundled roof: eight facets, no LP
+    membership.clear()
+    assert roof.irredundant_index == tuple(range(8)) and membership == []
+
+
+def test_all_rows_solution_is_the_irredundant_one(roof):
+    # at full dual rank a solution over all the rows, when there is one,
+    # is the solution over the irredundant rows; vsup_general returns it
+    rng = random.Random(193)
+    cones = [
+        roof,
+        Cone.from_duals(PYRAMID_ROWS),
+        Cone.from_duals([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0)]),
+        Cone.from_duals([(2, 0, 0), (0, 1, 1), (0, 0, 1), (1, 0, 0)]),
+    ]
+    seen = {"all rows": 0, "irredundant rows only": 0, "neither": 0}
+    for cone in cones:
+        assert cone.dual_rank == cone.dim < len(cone.duals)
+        every = range(len(cone.duals))
+        for _ in range(60):
+            pts = [rand_vec(rng, 3) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:  # a chain along (0, 0, 1), inside every cone
+                pts = [pts[0][:2] + (pts[0][2] + k,) for k in range(3)]
+            alpha = suprema._scaled_alpha(cone, pts)
+            all_rows = suprema._dual_solution(cone, every, *alpha)
+            irredundant = suprema._dual_solution(cone, cone.irredundant_index, *alpha)
+            res = vsup_general(cone, pts)
+            if all_rows is not None:
+                assert all_rows == irredundant == res
+                seen["all rows"] += 1
+            elif irredundant is not None:
+                assert irredundant == res
+                seen["irredundant rows only"] += 1
+            else:
+                assert res.status == NOT_EXISTS
+                seen["neither"] += 1
+    assert seen["all rows"] > 100 and seen["irredundant rows only"] > 5
+    assert seen["neither"] > 10
+
+
+def test_dual_images_solve_in_the_column_space(roof):
+    # the range test and the back map of one elimination of [B | I] against
+    # solve_linear on the image rows, in and off the column space
+    rng = random.Random(197)
+    cones = [
+        Cone.halfspace((2, -1, 3)),
+        Cone.from_duals([(1, 0, 0), (1, 1, 0), (0, 1, 1)]),
+        Cone.from_duals([(1, 0, 2), (0, 3, -1)]),
+        Cone.from_duals(PYRAMID_ROWS),
+        Cone.from_duals([(1, 1, 0), (0, 1, 0), (2, 2, 0)]),
+        roof,
+    ]
+    seen = {True: 0, False: 0}
+    for cone in cones:
+        images = cone.dual_images
+        rows = images.rows
+        assert rows == tuple(cone.int_duals[i][0] for i in cone.order_index)
+        for _ in range(40):
+            x = rand_vec(rng, 3)
+            y = images.image(x)
+            if rng.random() < 0.5:
+                y = tuple(c + rng.randint(-1, 1) for c in y)
+            scale = rng.choice((1, 2, 6))
+            want = solve_linear(rows, y, 3)
+            assert images.in_range(y) == (want is not None)
+            if want is not None:
+                assert images.solution(y, scale) == tuple(c / scale for c in want)
+            seen[want is not None] += 1
+    assert seen[True] > 100 and seen[False] > 25
